@@ -1,7 +1,7 @@
 //! PolyCache-style per-set multi-level LRU model.
 
 use crate::haystack::StackDistanceAnalyzer;
-use cache_model::{CacheConfig, HierarchyConfig, MemBlock};
+use cache_model::{CacheConfig, MemBlock, MemoryConfig, ReplacementPolicy};
 use scop::{for_each_access, Scop};
 
 /// Miss counts of the PolyCache-style model.
@@ -27,21 +27,21 @@ pub struct PolyCacheResult {
 ///
 /// ```
 /// use analytical::PolyCacheModel;
-/// use cache_model::HierarchyConfig;
+/// use cache_model::MemoryConfig;
 /// use scop::parse_scop;
 ///
 /// let scop = parse_scop(
 ///     "double A[1000]; double B[1000];
 ///      for (i = 1; i < 999; i++) B[i-1] = A[i-1] + A[i];",
 /// ).unwrap();
-/// let result = PolyCacheModel::new(HierarchyConfig::polycache_comparison()).analyze(&scop);
+/// let result = PolyCacheModel::new(MemoryConfig::polycache_comparison()).analyze(&scop);
 /// assert_eq!(result.accesses, 3 * 998);
 /// // The arrays fit into the 256 KiB L2: it only suffers cold misses.
 /// assert_eq!(result.l2_misses, 125 + 125);
 /// ```
 #[derive(Clone, Debug)]
 pub struct PolyCacheModel {
-    config: HierarchyConfig,
+    config: MemoryConfig,
 }
 
 impl PolyCacheModel {
@@ -49,32 +49,35 @@ impl PolyCacheModel {
     ///
     /// # Panics
     ///
-    /// Panics if either level does not use LRU replacement — PolyCache (and
-    /// this stand-in) only supports LRU.
-    pub fn new(config: HierarchyConfig) -> Self {
+    /// Panics if the hierarchy does not have exactly two levels or if
+    /// either level does not use LRU replacement — PolyCache (and this
+    /// stand-in) only supports LRU.
+    pub fn new(config: MemoryConfig) -> Self {
         assert_eq!(
-            config.l1.policy(),
-            cache_model::ReplacementPolicy::Lru,
-            "the PolyCache model supports LRU caches only"
+            config.depth(),
+            2,
+            "the PolyCache model covers two-level hierarchies only"
         );
-        assert_eq!(
-            config.l2.policy(),
-            cache_model::ReplacementPolicy::Lru,
+        assert!(
+            config
+                .levels()
+                .iter()
+                .all(|level| level.policy() == ReplacementPolicy::Lru),
             "the PolyCache model supports LRU caches only"
         );
         PolyCacheModel { config }
     }
 
     /// The modelled hierarchy.
-    pub fn config(&self) -> &HierarchyConfig {
+    pub fn config(&self) -> &MemoryConfig {
         &self.config
     }
 
     /// Analyses a SCoP and returns per-level miss counts.
     pub fn analyze(&self, scop: &Scop) -> PolyCacheResult {
         let line_size = self.config.line_size();
-        let mut l1 = PerSetLru::new(&self.config.l1);
-        let mut l2 = PerSetLru::new(&self.config.l2);
+        let mut l1 = PerSetLru::new(&self.config.levels()[0]);
+        let mut l2 = PerSetLru::new(&self.config.levels()[1]);
         let mut result = PolyCacheResult::default();
         for_each_access(scop, |acc| {
             result.accesses += 1;
@@ -119,9 +122,8 @@ impl PerSetLru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_model::ReplacementPolicy;
     use scop::parse_scop;
-    use simulate::simulate_hierarchy;
+    use simulate::simulate_memory;
 
     fn stencil() -> Scop {
         parse_scop(
@@ -133,30 +135,30 @@ mod tests {
 
     #[test]
     fn matches_explicit_hierarchy_simulation() {
-        let config = HierarchyConfig::new(
+        let config = MemoryConfig::two_level(
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
         );
-        let reference = simulate_hierarchy(&stencil(), &config);
+        let reference = simulate_memory(&stencil(), &config);
         let result = PolyCacheModel::new(config).analyze(&stencil());
-        assert_eq!(result.l1_misses, reference.l1().misses);
-        assert_eq!(result.l2_misses, reference.l2().unwrap().misses);
+        assert_eq!(result.l1_misses, reference.levels[0].misses);
+        assert_eq!(result.l2_misses, reference.levels[1].misses);
         assert_eq!(result.accesses, reference.accesses);
     }
 
     #[test]
     fn matches_on_the_paper_configuration() {
-        let config = HierarchyConfig::polycache_comparison();
-        let reference = simulate_hierarchy(&stencil(), &config);
+        let config = MemoryConfig::polycache_comparison();
+        let reference = simulate_memory(&stencil(), &config);
         let result = PolyCacheModel::new(config).analyze(&stencil());
-        assert_eq!(result.l1_misses, reference.l1().misses);
-        assert_eq!(result.l2_misses, reference.l2().unwrap().misses);
+        assert_eq!(result.l1_misses, reference.levels[0].misses);
+        assert_eq!(result.l2_misses, reference.levels[1].misses);
     }
 
     #[test]
     #[should_panic(expected = "LRU caches only")]
     fn rejects_non_lru_policies() {
-        let config = HierarchyConfig::new(
+        let config = MemoryConfig::two_level(
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Plru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
         );

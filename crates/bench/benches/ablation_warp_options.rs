@@ -4,13 +4,13 @@
 //! loops that do not warp.
 
 use bench_suite::test_system_l1;
-use cache_model::ReplacementPolicy;
+use cache_model::{MemoryConfig, ReplacementPolicy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polybench::{Dataset, Kernel};
 use warping::{WarpingOptions, WarpingSimulator};
 
 fn bench(c: &mut Criterion) {
-    let cache = test_system_l1(ReplacementPolicy::Plru);
+    let cache = MemoryConfig::from(test_system_l1(ReplacementPolicy::Plru));
     let mut group = c.benchmark_group("ablation_warp_options");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
@@ -45,11 +45,11 @@ fn bench(c: &mut Criterion) {
         for (name, options) in variants {
             group.bench_with_input(BenchmarkId::new(name, kernel.name()), &scop, |b, scop| {
                 b.iter(|| {
-                    WarpingSimulator::single(cache.clone())
+                    WarpingSimulator::new(cache.clone())
                         .with_options(options)
                         .run(scop)
                         .result
-                        .l1()
+                        .levels[0]
                         .misses
                 })
             });

@@ -1,8 +1,10 @@
 //! Compiled walk vs reference walk: the strength-reduced, run-batched
 //! access stream against the per-iteration affine evaluation it replaces.
 //!
-//! Two kernels, both on the classic (non-warping) backend so nothing but
-//! the walker differs between the timed sides:
+//! Two kernels, both simulated by `simulate::simulate` (compiled walk) and
+//! `simulate::simulate_reference` (per-access reference walk) on a fresh
+//! `MultiLevelSystem`, so nothing but the walker differs between the timed
+//! sides:
 //!
 //!   * a 64 MiB streaming kernel (`A[i] = 0` over 8 M doubles) — the
 //!     best case for run batching: a single-access loop body compiles
@@ -25,7 +27,9 @@
 
 use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use engine::{Backend, Engine, KernelSpec, SimReport, SimRequest, WalkMode};
+use engine::KernelSpec;
+use scop::Scop;
+use simulate::{simulate, simulate_reference, MultiLevelSystem, SimulationResult};
 use std::time::{Duration, Instant};
 
 /// 8 M doubles = 64 MiB: the streaming footprint the ≥4× gate runs at.
@@ -59,23 +63,26 @@ fn tiled_kernel() -> KernelSpec {
     )
 }
 
-fn run(engine: &Engine, kernel: KernelSpec) -> (Duration, SimReport) {
-    let request = SimRequest::new(kernel, memory(), Backend::Classic);
+/// `simulate` (compiled walk) or `simulate_reference` (reference walk).
+type Simulator = fn(&Scop, &mut MultiLevelSystem) -> SimulationResult;
+
+/// Simulates `scop` on a fresh memory system.
+fn run(simulator: Simulator, scop: &Scop) -> (Duration, SimulationResult) {
+    let mut system = MultiLevelSystem::new(memory());
     let start = Instant::now();
-    let report = engine.run(&request).expect("kernel simulates");
-    (start.elapsed(), report)
+    let result = simulator(scop, &mut system);
+    (start.elapsed(), result)
 }
 
 /// Bit-exactness on both kernels, then the ≥4× wall-clock gate on the
 /// streaming kernel.  A bench that times two walkers that disagree would
 /// be advertising a speedup of the wrong answer.
-fn assert_contract(compiled: &Engine, reference: &Engine) {
-    for kernel in [streaming_kernel(), tiled_kernel()] {
-        let name = kernel.name().to_string();
-        let (_, fast) = run(compiled, kernel.clone());
-        let (_, slow) = run(reference, kernel);
+fn assert_contract(kernels: &[(&str, Scop)]) {
+    for (name, scop) in kernels {
+        let (_, fast) = run(simulate, scop);
+        let (_, slow) = run(simulate_reference, scop);
         assert_eq!(
-            fast.result.accesses, slow.result.accesses,
+            fast.accesses, slow.accesses,
             "{name}: walks disagree on the access count"
         );
         assert_eq!(
@@ -84,8 +91,9 @@ fn assert_contract(compiled: &Engine, reference: &Engine) {
         );
     }
     // Time the gate after the equivalence runs, so both sides are warm.
-    let (fast_time, _) = run(compiled, streaming_kernel());
-    let (slow_time, _) = run(reference, streaming_kernel());
+    let stream = &kernels[0].1;
+    let (fast_time, _) = run(simulate, stream);
+    let (slow_time, _) = run(simulate_reference, stream);
     let speedup = slow_time.as_secs_f64() / fast_time.as_secs_f64().max(1e-9);
     assert!(
         speedup >= 4.0,
@@ -95,22 +103,22 @@ fn assert_contract(compiled: &Engine, reference: &Engine) {
 }
 
 fn bench(c: &mut Criterion) {
-    let compiled = Engine::new();
-    let reference = Engine::new().with_walk(WalkMode::Reference);
-    assert_contract(&compiled, &reference);
+    let kernels = [
+        ("stream", streaming_kernel()),
+        ("tiled_gemm", tiled_kernel()),
+    ]
+    .map(|(label, kernel)| (label, kernel.build().expect("kernel builds")));
+    assert_contract(&kernels);
     let mut group = c.benchmark_group("compiled_walk");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(400));
-    for (label, kernel) in [
-        ("stream", streaming_kernel()),
-        ("tiled_gemm", tiled_kernel()),
-    ] {
-        group.bench_with_input(BenchmarkId::new("compiled", label), &kernel, |b, k| {
-            b.iter(|| run(&compiled, k.clone()).1.levels[0].misses)
+    for (label, scop) in &kernels {
+        group.bench_with_input(BenchmarkId::new("compiled", label), scop, |b, s| {
+            b.iter(|| run(simulate, s).1.levels[0].misses)
         });
-        group.bench_with_input(BenchmarkId::new("reference", label), &kernel, |b, k| {
-            b.iter(|| run(&reference, k.clone()).1.levels[0].misses)
+        group.bench_with_input(BenchmarkId::new("reference", label), scop, |b, s| {
+            b.iter(|| run(simulate_reference, s).1.levels[0].misses)
         });
     }
     group.finish();

@@ -3,12 +3,13 @@
 
 use analytical::HaystackModel;
 use bench_suite::fully_associative_l1;
+use cache_model::MemoryConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polybench::{Dataset, Kernel};
 use warping::WarpingSimulator;
 
 fn bench(c: &mut Criterion) {
-    let cache = fully_associative_l1();
+    let cache = MemoryConfig::from(fully_associative_l1());
     let mut group = c.benchmark_group("fig8");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
@@ -20,10 +21,10 @@ fn bench(c: &mut Criterion) {
             |b, k| {
                 b.iter(|| {
                     let scop = k.build(Dataset::Mini).unwrap();
-                    WarpingSimulator::single(cache.clone())
+                    WarpingSimulator::new(cache.clone())
                         .run(&scop)
                         .result
-                        .l1()
+                        .levels[0]
                         .misses
                 })
             },

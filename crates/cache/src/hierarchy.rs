@@ -1,217 +1,15 @@
-//! Two-level cache hierarchies.
-//!
-//! [`HierarchyConfig`] and [`HierarchyState`] predate the N-level
-//! [`MemoryConfig`](crate::MemoryConfig)/[`MultiLevelState`] pair and are
-//! kept as thin compatibility shims: the state delegates every access to
-//! the shared N-level walk, and new code should construct a `MemoryConfig`
-//! directly.
-
-use crate::block::{Access, AccessKind, MemBlock};
-use crate::cache::{CacheConfig, CacheState, LevelStats};
-use crate::multilevel::{walk_access, MultiAccessOutcome, MultiLevelState};
-
-/// Write policy of a cache level.
-///
-/// Write-back vs. write-through only affects traffic, not hit/miss counts,
-/// so the model distinguishes the allocation decision, which does affect
-/// misses, and records the write-back choice for documentation purposes.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum WritePolicy {
-    /// Write-back, write-allocate (the configuration of the test system in
-    /// the paper and the PolyCache comparison).
-    #[default]
-    WriteBackWriteAllocate,
-    /// Write-through, no-write-allocate.
-    WriteThroughNoAllocate,
-}
-
-impl WritePolicy {
-    /// Whether write misses allocate a line.
-    pub fn allocates_on_write(self) -> bool {
-        matches!(self, WritePolicy::WriteBackWriteAllocate)
-    }
-}
-
-/// Configuration of a two-level non-inclusive non-exclusive hierarchy
-/// (the private L1/L2 levels modelled in the paper, Appendix A.2).
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct HierarchyConfig {
-    /// First-level cache.
-    pub l1: CacheConfig,
-    /// Second-level cache.
-    pub l2: CacheConfig,
-    /// Write policy applied at both levels.
-    pub write_policy: WritePolicy,
-}
-
-impl HierarchyConfig {
-    /// A hierarchy with the default write-back write-allocate policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two levels have different line sizes (unsupported) or if
-    /// the number of L2 sets is not a multiple of the number of L1 sets (the
-    /// assumption under which Corollary 5 of the paper applies).
-    pub fn new(l1: CacheConfig, l2: CacheConfig) -> Self {
-        assert_eq!(
-            l1.line_size(),
-            l2.line_size(),
-            "L1 and L2 must use the same line size"
-        );
-        assert_eq!(
-            l2.num_sets() % l1.num_sets(),
-            0,
-            "the number of L2 sets must be a multiple of the number of L1 sets"
-        );
-        HierarchyConfig {
-            l1,
-            l2,
-            write_policy: WritePolicy::default(),
-        }
-    }
-
-    /// Sets the write policy, returning `self` for chaining.
-    pub fn with_write_policy(mut self, policy: WritePolicy) -> Self {
-        self.write_policy = policy;
-        self
-    }
-
-    /// The cache line size shared by both levels.
-    pub fn line_size(&self) -> u64 {
-        self.l1.line_size()
-    }
-
-    /// The configuration used throughout the paper's evaluation: the
-    /// Cascade Lake test system's private levels — a 32 KiB 8-way PLRU L1
-    /// and a 1 MiB 16-way Quad-age-LRU L2, 64-byte lines.
-    pub fn test_system() -> Self {
-        HierarchyConfig::new(
-            CacheConfig::new(32 * 1024, 8, 64, crate::ReplacementPolicy::Plru),
-            CacheConfig::new(1024 * 1024, 16, 64, crate::ReplacementPolicy::Qlru),
-        )
-    }
-
-    /// The configuration of the PolyCache comparison (Fig. 9): 32 KiB 4-way
-    /// L1 and 256 KiB 4-way L2, both LRU, write-back write-allocate.
-    pub fn polycache_comparison() -> Self {
-        HierarchyConfig::new(
-            CacheConfig::new(32 * 1024, 4, 64, crate::ReplacementPolicy::Lru),
-            CacheConfig::new(256 * 1024, 4, 64, crate::ReplacementPolicy::Lru),
-        )
-    }
-}
-
-/// The result of a hierarchy access.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AccessOutcome {
-    /// Whether the access hit in the L1 cache.
-    pub l1_hit: bool,
-    /// Whether the access hit in the L2 cache; `None` if the L2 was not
-    /// accessed (because the L1 hit).
-    pub l2_hit: Option<bool>,
-}
-
-impl From<MultiAccessOutcome> for AccessOutcome {
-    fn from(outcome: MultiAccessOutcome) -> Self {
-        AccessOutcome {
-            l1_hit: outcome.hit_at(0).unwrap_or(false),
-            l2_hit: outcome.hit_at(1),
-        }
-    }
-}
-
-/// The state of a two-level non-inclusive non-exclusive hierarchy, generic
-/// over the line payload.
-///
-/// Compatibility shim over [`MultiLevelState`]: every access delegates to
-/// the shared N-level walk.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct HierarchyState<B> {
-    inner: MultiLevelState<B>,
-}
-
-impl<B: Clone> HierarchyState<B> {
-    /// An empty hierarchy with the geometry of `config`.
-    pub fn new(config: &HierarchyConfig) -> Self {
-        HierarchyState {
-            inner: MultiLevelState::from_levels(vec![
-                CacheState::new(&config.l1),
-                CacheState::new(&config.l2),
-            ]),
-        }
-    }
-
-    /// Assembles a hierarchy state from explicit per-level states.
-    pub fn from_levels(l1: CacheState<B>, l2: CacheState<B>) -> Self {
-        HierarchyState {
-            inner: MultiLevelState::from_levels(vec![l1, l2]),
-        }
-    }
-
-    /// The L1 state.
-    pub fn l1(&self) -> &CacheState<B> {
-        self.inner.level(0)
-    }
-
-    /// The L2 state.
-    pub fn l2(&self) -> &CacheState<B> {
-        self.inner.level(1)
-    }
-}
-
-impl HierarchyState<MemBlock> {
-    /// Performs a read access to a block (Equation 24 of the paper):
-    /// the L2 is only consulted — and updated — when the L1 misses.
-    pub fn access_block(&mut self, config: &HierarchyConfig, block: MemBlock) -> AccessOutcome {
-        let configs = [&config.l1, &config.l2];
-        walk_access(
-            configs.into_iter().zip(self.inner.levels_mut().iter_mut()),
-            block,
-            true,
-        )
-        .into()
-    }
-
-    /// Performs an access honouring the hierarchy's write policy.
-    pub fn access(&mut self, config: &HierarchyConfig, access: Access) -> AccessOutcome {
-        let block = config.l1.block_of_address(access.address);
-        let fill = access.kind != AccessKind::Write || config.write_policy.allocates_on_write();
-        let configs = [&config.l1, &config.l2];
-        walk_access(
-            configs.into_iter().zip(self.inner.levels_mut().iter_mut()),
-            block,
-            fill,
-        )
-        .into()
-    }
-}
-
-/// Aggregated statistics of a two-level simulation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct HierarchyStats {
-    /// L1 counters.
-    pub l1: LevelStats,
-    /// L2 counters (accesses = L1 misses).
-    pub l2: LevelStats,
-}
-
-impl HierarchyStats {
-    /// Records one access outcome.
-    pub fn record(&mut self, outcome: AccessOutcome) {
-        self.l1.record(outcome.l1_hit);
-        if let Some(l2_hit) = outcome.l2_hit {
-            self.l2.record(l2_hit);
-        }
-    }
-}
+//! Two-level behaviour of [`MultiLevelState`]: the private L1/L2 levels
+//! modelled in the paper (Appendix A.2) as a depth-2 [`MemoryConfig`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ReplacementPolicy;
+    use crate::{
+        Access, CacheConfig, LevelStats, LookupOutcome, MemBlock, MemoryConfig, MultiLevelState,
+        ReplacementPolicy, WritePolicy,
+    };
 
-    fn tiny_hierarchy() -> HierarchyConfig {
-        HierarchyConfig::new(
+    fn tiny_hierarchy() -> MemoryConfig {
+        MemoryConfig::two_level(
             CacheConfig::with_sets(2, 2, 64, ReplacementPolicy::Lru),
             CacheConfig::with_sets(4, 2, 64, ReplacementPolicy::Lru),
         )
@@ -220,74 +18,69 @@ mod tests {
     #[test]
     fn l2_filters_l1_misses() {
         let config = tiny_hierarchy();
-        let mut h = HierarchyState::new(&config);
+        let mut h = MultiLevelState::new(&config);
         let b = MemBlock(0);
         let first = h.access_block(&config, b);
         assert_eq!(
             first,
-            AccessOutcome {
-                l1_hit: false,
-                l2_hit: Some(false)
+            LookupOutcome {
+                levels_consulted: 2,
+                hit: false
             }
         );
         let second = h.access_block(&config, b);
-        assert_eq!(
-            second,
-            AccessOutcome {
-                l1_hit: true,
-                l2_hit: None
-            }
-        );
+        assert_eq!(second.hit_at(0), Some(true));
+        assert_eq!(second.hit_at(1), None);
     }
 
     #[test]
     fn non_inclusive_refill_hits_l2() {
         let config = tiny_hierarchy();
-        let mut h = HierarchyState::new(&config);
+        let mut h = MultiLevelState::new(&config);
         // Fill L1 set 0 beyond its associativity so block 0 gets evicted from
         // L1 but remains in the larger L2.
         for i in [0u64, 2, 4] {
             h.access_block(&config, MemBlock(i));
         }
         let again = h.access_block(&config, MemBlock(0));
-        assert!(!again.l1_hit);
-        assert_eq!(again.l2_hit, Some(true));
+        assert_eq!(again.hit_at(0), Some(false));
+        assert_eq!(again.hit_at(1), Some(true));
     }
 
     #[test]
     fn no_write_allocate_hierarchy() {
         let config = tiny_hierarchy().with_write_policy(WritePolicy::WriteThroughNoAllocate);
-        let mut h = HierarchyState::new(&config);
+        let mut h = MultiLevelState::new(&config);
         let out = h.access(&config, Access::write(0));
-        assert!(!out.l1_hit);
-        assert_eq!(out.l2_hit, Some(false));
+        assert_eq!(out.hit_at(0), Some(false));
+        assert_eq!(out.hit_at(1), Some(false));
         // Nothing was allocated anywhere.
         let read = h.access(&config, Access::read(0));
-        assert!(!read.l1_hit);
-        assert_eq!(read.l2_hit, Some(false));
+        assert_eq!(read.hit_at(0), Some(false));
+        assert_eq!(read.hit_at(1), Some(false));
     }
 
     #[test]
     fn stats_aggregate() {
         let config = tiny_hierarchy();
-        let mut h = HierarchyState::new(&config);
-        let mut stats = HierarchyStats::default();
+        let mut h = MultiLevelState::new(&config);
+        let mut stats = [LevelStats::default(); 2];
         for i in [0u64, 1, 0, 2, 0] {
-            stats.record(h.access_block(&config, MemBlock(i)));
+            h.access_block(&config, MemBlock(i)).record_into(&mut stats);
         }
-        assert_eq!(stats.l1.accesses, 5);
-        assert_eq!(stats.l1.misses, 3);
-        assert_eq!(stats.l2.accesses, 3);
-        assert_eq!(stats.l2.misses, 3);
+        assert_eq!(stats[0].accesses, 5);
+        assert_eq!(stats[0].misses, 3);
+        assert_eq!(stats[1].accesses, 3);
+        assert_eq!(stats[1].misses, 3);
     }
 
     #[test]
     fn preset_configurations() {
-        let ts = HierarchyConfig::test_system();
-        assert_eq!(ts.l1.num_sets(), 64);
-        assert_eq!(ts.l2.num_sets(), 1024);
-        let pc = HierarchyConfig::polycache_comparison();
-        assert_eq!(pc.l1.assoc(), 4);
-        assert_eq!(pc.l2.size_bytes(), 256 * 1024);
+        let ts = MemoryConfig::test_system();
+        assert_eq!(ts.levels()[0].num_sets(), 64);
+        assert_eq!(ts.levels()[1].num_sets(), 1024);
+        let pc = MemoryConfig::polycache_comparison();
+        assert_eq!(pc.levels()[0].assoc(), 4);
+        assert_eq!(pc.levels()[1].size_bytes(), 256 * 1024);
     }
 }

@@ -14,11 +14,9 @@
 //!   O(1) and clone/rotation cost O(occupied sets)),
 //! * the depth-N memory system: [`MemoryConfig`] describes any number of
 //!   non-inclusive non-exclusive cache levels (with write-allocate and
-//!   no-write-allocate write policies, conversions from [`CacheConfig`] and
-//!   [`HierarchyConfig`], and JSON (de)serialization) and
-//!   [`MultiLevelState`] simulates them through one inclusive access path
-//!   shared by every simulator ([`HierarchyConfig`]/[`HierarchyState`]
-//!   remain as thin two-level compatibility shims),
+//!   no-write-allocate [`WritePolicy`]s, a conversion from [`CacheConfig`]
+//!   and JSON (de)serialization) and [`MultiLevelState`] simulates them
+//!   through one inclusive access path shared by every simulator,
 //! * block bijections and rotations ([`bijection`]) used to state and test
 //!   the data-independence theorems.
 //!
@@ -45,6 +43,7 @@
 pub mod bijection;
 mod block;
 mod cache;
+#[cfg(test)]
 mod hierarchy;
 mod memory;
 mod multilevel;
@@ -53,8 +52,7 @@ mod set;
 
 pub use block::{Access, AccessKind, MemBlock};
 pub use cache::{CacheConfig, CacheState, LevelStats};
-pub use hierarchy::{AccessOutcome, HierarchyConfig, HierarchyState, HierarchyStats, WritePolicy};
-pub use memory::{MemoryConfig, MemoryConfigError};
-pub use multilevel::{MultiAccessOutcome, MultiLevelState, StateSnapshot};
+pub use memory::{MemoryConfig, MemoryConfigError, WritePolicy};
+pub use multilevel::{LookupOutcome, MultiLevelState, StateSnapshot};
 pub use policy::{PolicyState, ReplacementPolicy};
 pub use set::SetState;

@@ -1,18 +1,36 @@
 //! The N-level memory-system configuration shared by every simulator.
 //!
-//! Historically the workspace described memory systems with two unrelated
-//! types — `CacheConfig` for a single level and [`HierarchyConfig`] for
-//! exactly two — and the warping simulator duplicated the split with its own
-//! `WarpingMemory` enum.  [`MemoryConfig`] replaces all of them: an ordered
-//! list of cache levels (L1 first) plus a write policy, with conversions
-//! from the legacy types and JSON (de)serialization so that requests and
-//! reports can travel over the wire.
+//! [`MemoryConfig`] describes every simulated memory system, whatever its
+//! depth: an ordered list of cache levels (L1 first) plus a hierarchy-wide
+//! [`WritePolicy`], with a conversion from a single [`CacheConfig`] and JSON
+//! (de)serialization so that requests and reports can travel over the wire.
 
 use crate::cache::CacheConfig;
-use crate::hierarchy::{HierarchyConfig, WritePolicy};
 use crate::policy::ReplacementPolicy;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+
+/// Write policy of a memory hierarchy.
+///
+/// Write-back vs. write-through only affects traffic, not hit/miss counts,
+/// so the model distinguishes the allocation decision, which does affect
+/// misses, and records the write-back choice for documentation purposes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub enum WritePolicy {
+    /// Write-back, write-allocate (the configuration of the test system in
+    /// the paper and the PolyCache comparison).
+    #[default]
+    WriteBackWriteAllocate,
+    /// Write-through, no-write-allocate.
+    WriteThroughNoAllocate,
+}
+
+impl WritePolicy {
+    /// Whether write misses allocate a line.
+    pub fn allocates_on_write(self) -> bool {
+        matches!(self, WritePolicy::WriteBackWriteAllocate)
+    }
+}
 
 /// An N-level memory-system configuration: the single source of truth for
 /// what is being simulated, accepted by every backend of the `engine`
@@ -100,17 +118,7 @@ impl MemoryConfig {
     /// conflict with [`MemoryConfig::with_write_policy`] on uniform
     /// levels).
     pub fn new(levels: Vec<CacheConfig>) -> Result<Self, MemoryConfigError> {
-        if levels.is_empty() {
-            return Err(MemoryConfigError::NoLevels);
-        }
-        for (i, pair) in levels.windows(2).enumerate() {
-            if pair[0].line_size() != pair[1].line_size() {
-                return Err(MemoryConfigError::MismatchedLineSizes { level: i });
-            }
-            if pair[1].num_sets() % pair[0].num_sets() != 0 {
-                return Err(MemoryConfigError::SetCountNotMultiple { level: i });
-            }
-        }
+        check_shapes(&levels)?;
         let allocate = levels[0].write_allocate();
         if levels.iter().any(|l| l.write_allocate() != allocate) {
             return Err(MemoryConfigError::MixedWriteAllocation);
@@ -127,8 +135,7 @@ impl MemoryConfig {
     }
 
     /// A single-level memory system.  The write policy is taken from the
-    /// cache's own write-allocate flag, matching the legacy
-    /// single-cache behaviour.
+    /// cache's own write-allocate flag.
     pub fn single(l1: CacheConfig) -> Self {
         let write_policy = if l1.write_allocate() {
             WritePolicy::WriteBackWriteAllocate
@@ -141,15 +148,20 @@ impl MemoryConfig {
         }
     }
 
-    /// A two-level memory system.
+    /// A two-level memory system with the default write-back
+    /// write-allocate policy, whatever the levels' own write-allocate flags.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`HierarchyConfig::new`]:
-    /// mismatched line sizes or an L2 set count that is not a multiple of
-    /// the L1 set count.
+    /// Panics if the levels disagree on the line size or the L2 set count
+    /// is not a multiple of the L1 set count.
     pub fn two_level(l1: CacheConfig, l2: CacheConfig) -> Self {
-        MemoryConfig::from(HierarchyConfig::new(l1, l2))
+        let levels = vec![l1, l2];
+        check_shapes(&levels).unwrap_or_else(|e| panic!("{e}"));
+        MemoryConfig {
+            levels,
+            write_policy: WritePolicy::default(),
+        }
     }
 
     /// A three-level memory system.
@@ -231,27 +243,28 @@ impl MemoryConfig {
         }
     }
 
-    /// The equivalent legacy [`HierarchyConfig`], if this is a two-level
-    /// system.
-    pub fn to_hierarchy(&self) -> Option<HierarchyConfig> {
-        match self.levels.as_slice() {
-            [l1, l2] => Some(
-                HierarchyConfig::new(l1.clone(), l2.clone()).with_write_policy(self.write_policy),
-            ),
-            _ => None,
-        }
-    }
-
     /// The paper's test system: its private L1 alone, with a configurable
     /// replacement policy (32 KiB, 8-way, 64-byte lines).
     pub fn test_system_l1(policy: ReplacementPolicy) -> Self {
         MemoryConfig::single(CacheConfig::new(32 * 1024, 8, 64, policy))
     }
 
-    /// The paper's test system: both private levels (PLRU L1, Quad-age-LRU
-    /// L2).
+    /// The paper's test system: the Cascade Lake private levels — a 32 KiB
+    /// 8-way PLRU L1 and a 1 MiB 16-way Quad-age-LRU L2, 64-byte lines.
     pub fn test_system() -> Self {
-        MemoryConfig::from(HierarchyConfig::test_system())
+        MemoryConfig::two_level(
+            CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Plru),
+            CacheConfig::new(1024 * 1024, 16, 64, ReplacementPolicy::Qlru),
+        )
+    }
+
+    /// The configuration of the PolyCache comparison (Fig. 9): 32 KiB 4-way
+    /// L1 and 256 KiB 4-way L2, both LRU, write-back write-allocate.
+    pub fn polycache_comparison() -> Self {
+        MemoryConfig::two_level(
+            CacheConfig::new(32 * 1024, 4, 64, ReplacementPolicy::Lru),
+            CacheConfig::new(256 * 1024, 4, 64, ReplacementPolicy::Lru),
+        )
     }
 
     /// The test system extended by a Cascade-Lake-sized shared L3 slice
@@ -274,13 +287,21 @@ impl From<CacheConfig> for MemoryConfig {
     }
 }
 
-impl From<HierarchyConfig> for MemoryConfig {
-    fn from(config: HierarchyConfig) -> Self {
-        MemoryConfig {
-            levels: vec![config.l1, config.l2],
-            write_policy: config.write_policy,
+/// Rejects an empty level list, mismatched line sizes and set counts that
+/// are not multiples of the previous level's.
+fn check_shapes(levels: &[CacheConfig]) -> Result<(), MemoryConfigError> {
+    if levels.is_empty() {
+        return Err(MemoryConfigError::NoLevels);
+    }
+    for (i, pair) in levels.windows(2).enumerate() {
+        if pair[0].line_size() != pair[1].line_size() {
+            return Err(MemoryConfigError::MismatchedLineSizes { level: i });
+        }
+        if pair[1].num_sets() % pair[0].num_sets() != 0 {
+            return Err(MemoryConfigError::SetCountNotMultiple { level: i });
         }
     }
+    Ok(())
 }
 
 impl fmt::Display for MemoryConfig {
@@ -438,7 +459,6 @@ mod tests {
         let memory = MemoryConfig::from(l1());
         assert_eq!(memory.depth(), 1);
         assert_eq!(memory.as_single(), Some(&l1()));
-        assert!(memory.to_hierarchy().is_none());
         assert_eq!(memory.write_policy(), WritePolicy::WriteBackWriteAllocate);
     }
 
@@ -446,14 +466,6 @@ mod tests {
     fn no_write_allocate_flag_is_preserved() {
         let memory = MemoryConfig::from(l1().no_write_allocate());
         assert_eq!(memory.write_policy(), WritePolicy::WriteThroughNoAllocate);
-    }
-
-    #[test]
-    fn from_hierarchy_round_trips() {
-        let hierarchy = HierarchyConfig::test_system();
-        let memory = MemoryConfig::from(hierarchy.clone());
-        assert_eq!(memory.depth(), 2);
-        assert_eq!(memory.to_hierarchy(), Some(hierarchy));
     }
 
     #[test]
@@ -503,7 +515,6 @@ mod tests {
         let memory = MemoryConfig::new(vec![l1(), l2(), l3]).unwrap();
         assert_eq!(memory.depth(), 3);
         assert!(memory.as_single().is_none());
-        assert!(memory.to_hierarchy().is_none());
     }
 
     #[test]

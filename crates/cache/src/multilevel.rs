@@ -1,12 +1,10 @@
 //! The N-level cache state: one inclusive access/classify path shared by
 //! every simulator.
 //!
-//! [`MultiLevelState`] generalizes the old `CacheState` vs. `HierarchyState`
-//! dual: an ordered list of per-level states (L1 first) driven by a
-//! [`MemoryConfig`].  On a miss at level `i` the access is forwarded to
-//! level `i + 1`; the hierarchy-wide write policy decides whether write
-//! misses allocate.  `HierarchyState` remains as a thin compatibility shim
-//! delegating to this type.
+//! [`MultiLevelState`] is an ordered list of per-level states (L1 first)
+//! driven by a [`MemoryConfig`].  On a miss at level `i` the access is
+//! forwarded to level `i + 1`; the hierarchy-wide write policy decides
+//! whether write misses allocate.
 
 use crate::block::{Access, AccessKind, MemBlock};
 use crate::cache::{CacheState, LevelStats};
@@ -16,7 +14,7 @@ use crate::memory::MemoryConfig;
 /// downwards: the access consulted levels `0..levels_consulted` and either
 /// hit at the deepest consulted level or missed everywhere.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct MultiAccessOutcome {
+pub struct LookupOutcome {
     /// Number of levels the access reached (at least 1).
     pub levels_consulted: usize,
     /// Whether the deepest consulted level hit.  `false` means the access
@@ -24,7 +22,7 @@ pub struct MultiAccessOutcome {
     pub hit: bool,
 }
 
-impl MultiAccessOutcome {
+impl LookupOutcome {
     /// Whether level `idx` was consulted and hit.  `None` if the access
     /// never reached that level (an enclosing level hit first).
     pub fn hit_at(&self, idx: usize) -> Option<bool> {
@@ -50,10 +48,7 @@ impl MultiAccessOutcome {
 /// no-write-allocate) a missing block is classified without being inserted,
 /// while a present block is still accessed so the replacement-policy state
 /// advances.
-///
-/// This is the single inclusive access path behind [`MultiLevelState`] and
-/// the legacy `HierarchyState` shim.
-pub(crate) fn walk_access<'a, I>(levels: I, block: MemBlock, fill: bool) -> MultiAccessOutcome
+fn walk_access<'a, I>(levels: I, block: MemBlock, fill: bool) -> LookupOutcome
 where
     I: Iterator<Item = (&'a crate::cache::CacheConfig, &'a mut CacheState<MemBlock>)>,
 {
@@ -70,7 +65,7 @@ where
             break;
         }
     }
-    MultiAccessOutcome {
+    LookupOutcome {
         levels_consulted: consulted,
         hit,
     }
@@ -133,7 +128,7 @@ impl MultiLevelState<MemBlock> {
     /// Performs a read access to a block (Equation 24 of the paper,
     /// generalized to N levels): level `i + 1` is only consulted — and
     /// updated — when level `i` misses.
-    pub fn access_block(&mut self, config: &MemoryConfig, block: MemBlock) -> MultiAccessOutcome {
+    pub fn access_block(&mut self, config: &MemoryConfig, block: MemBlock) -> LookupOutcome {
         walk_access(
             config.levels().iter().zip(self.levels.iter_mut()),
             block,
@@ -144,7 +139,7 @@ impl MultiLevelState<MemBlock> {
     /// Performs an access honouring the hierarchy-wide write policy: under
     /// no-write-allocate, a write is classified at each level without
     /// filling, and forwarded outward on a miss.
-    pub fn access(&mut self, config: &MemoryConfig, access: Access) -> MultiAccessOutcome {
+    pub fn access(&mut self, config: &MemoryConfig, access: Access) -> LookupOutcome {
         let block = config.l1().block_of_address(access.address);
         let fill = access.kind != AccessKind::Write || config.write_policy().allocates_on_write();
         walk_access(
@@ -166,7 +161,7 @@ impl MultiLevelState<MemBlock> {
         config: &MemoryConfig,
         access: Access,
         stamp: i64,
-    ) -> MultiAccessOutcome {
+    ) -> LookupOutcome {
         let fill = access.kind != AccessKind::Write || config.write_policy().allocates_on_write();
         let outcome = self.access(config, access);
         if fill {
@@ -260,7 +255,7 @@ impl MultiLevelState<MemBlock> {
                 remaining.min(span as u64)
             };
             let block = config.l1().block_of_address(addr as u64);
-            let mut outcome = MultiAccessOutcome {
+            let mut outcome = LookupOutcome {
                 levels_consulted: 0,
                 hit: false,
             };
@@ -359,7 +354,7 @@ impl<B: Clone> StateSnapshot<B> {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
-    use crate::hierarchy::WritePolicy;
+    use crate::memory::WritePolicy;
     use crate::ReplacementPolicy;
 
     fn tiny_three_level() -> MemoryConfig {

@@ -10,7 +10,7 @@
 
 use cache_model::bijection::ShiftBijection;
 use cache_model::{
-    CacheConfig, CacheState, HierarchyConfig, HierarchyState, MemBlock, ReplacementPolicy,
+    CacheConfig, CacheState, MemBlock, MemoryConfig, MultiLevelState, ReplacementPolicy,
 };
 use proptest::prelude::*;
 
@@ -69,12 +69,12 @@ proptest! {
         block in 0u64..64,
         delta in 0i64..16,
     ) {
-        let config = HierarchyConfig::new(
+        let config = MemoryConfig::two_level(
             CacheConfig::with_sets(2, 2, 64, policy1),
             CacheConfig::with_sets(4, 4, 64, policy2),
         );
         let pi = ShiftBijection::new(delta);
-        let mut h = HierarchyState::new(&config);
+        let mut h = MultiLevelState::new(&config);
         for b in &history {
             h.access_block(&config, *b);
         }
@@ -82,9 +82,9 @@ proptest! {
 
         let mut updated = h.clone();
         let out_original = updated.access_block(&config, b);
-        let lhs = pi.apply_to_hierarchy(&config, &updated);
+        let lhs = pi.apply_to_levels(&config, &updated);
 
-        let mut rhs = pi.apply_to_hierarchy(&config, &h);
+        let mut rhs = pi.apply_to_levels(&config, &h);
         let out_renamed = rhs.access_block(&config, pi.apply(b));
 
         prop_assert_eq!(lhs, rhs);

@@ -38,7 +38,7 @@
 //!
 //! // Warping is exact: identical counts, almost no explicit simulation.
 //! assert_eq!(classic.result, warping.result);
-//! assert_eq!(classic.result.l1().misses, 3 + 2 * 997);
+//! assert_eq!(classic.result.levels[0].misses, 3 + 2 * 997);
 //! assert!(warping.warping.unwrap().warps > 0);
 //! ```
 
@@ -55,17 +55,16 @@ pub use canon::CanonicalHash;
 pub use report::{ApproxStats, SimReport, WarpingStats};
 pub use request::{dataset_by_name, Backend, KernelSpec, SimRequest};
 pub use sampling::{Calibration, SamplingOptions, PPM};
-pub use simulate::WalkMode;
 pub use warping::WarpHints;
 
 use analytical::{HaystackModel, PolyCacheModel};
 use cache_model::{LevelStats, ReplacementPolicy, WritePolicy};
-use simulate::{simulate_with_walk, MultiLevelSystem, SimulationResult};
+use simulate::{simulate, MultiLevelSystem, SimulationResult};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use trace_sim::{generate_trace_with, simulate_trace_memory};
+use trace_sim::{generate_trace, simulate_trace_memory};
 use warping::WarpingSimulator;
 
 /// Why a request could not be served.
@@ -164,7 +163,6 @@ pub struct WarmOutcome {
 #[derive(Clone, Debug)]
 pub struct Engine {
     threads: usize,
-    walk: WalkMode,
 }
 
 impl Default for Engine {
@@ -178,7 +176,6 @@ impl Engine {
     pub fn new() -> Self {
         Engine {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            walk: WalkMode::default(),
         }
     }
 
@@ -192,23 +189,6 @@ impl Engine {
     /// The number of worker threads used by [`Engine::run_batch`].
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Overrides how the simulating backends step through the iteration
-    /// space.  The default is [`WalkMode::Compiled`] (the
-    /// compile-once/walk-many fast path); [`WalkMode::Reference`] restores
-    /// the literal per-access walk of Algorithm 1.  Every backend produces
-    /// bit-identical counts in both modes — the reference walk exists as
-    /// the differential oracle, reachable from the harness via
-    /// `--walk reference`.
-    pub fn with_walk(mut self, walk: WalkMode) -> Self {
-        self.walk = walk;
-        self
-    }
-
-    /// The walk mode granted to simulating backends.
-    pub fn walk(&self) -> WalkMode {
-        self.walk
     }
 
     /// Serves one request: builds the kernel, dispatches to the backend and
@@ -284,7 +264,7 @@ impl Engine {
         let (result, warping, exact, approx) = match &request.backend {
             Backend::Classic => {
                 let mut system = MultiLevelSystem::new(memory.clone());
-                let result = simulate_with_walk(&scop, &mut system, self.walk);
+                let result = simulate(&scop, &mut system);
                 (result, None, true, None)
             }
             Backend::Warping(options) => {
@@ -297,8 +277,7 @@ impl Engine {
                         message,
                     })?
                     .with_options(*options)
-                    .with_threads(backend_threads)
-                    .with_walk(self.walk);
+                    .with_threads(backend_threads);
                 if let Some(hints) = &ctx.warp_hints {
                     simulator = simulator.with_hints(hints.clone());
                 }
@@ -334,18 +313,19 @@ impl Engine {
                 (result, None, exact, None)
             }
             Backend::PolyCache => {
-                let hierarchy =
-                    memory
-                        .to_hierarchy()
-                        .ok_or_else(|| EngineError::UnsupportedMemory {
-                            backend: "polycache",
-                            message: format!(
-                                "the PolyCache model covers two-level hierarchies, got {} levels",
-                                memory.depth()
-                            ),
-                        })?;
-                if hierarchy.l1.policy() != ReplacementPolicy::Lru
-                    || hierarchy.l2.policy() != ReplacementPolicy::Lru
+                if memory.depth() != 2 {
+                    return Err(EngineError::UnsupportedMemory {
+                        backend: "polycache",
+                        message: format!(
+                            "the PolyCache model covers two-level hierarchies, got {} levels",
+                            memory.depth()
+                        ),
+                    });
+                }
+                if memory
+                    .levels()
+                    .iter()
+                    .any(|level| level.policy() != ReplacementPolicy::Lru)
                 {
                     return Err(EngineError::UnsupportedMemory {
                         backend: "polycache",
@@ -353,7 +333,7 @@ impl Engine {
                     });
                 }
                 let exact = memory.write_policy() == WritePolicy::WriteBackWriteAllocate;
-                let analysis = PolyCacheModel::new(hierarchy).analyze(&scop);
+                let analysis = PolyCacheModel::new(memory.clone()).analyze(&scop);
                 let l1 = LevelStats {
                     accesses: analysis.accesses,
                     hits: analysis.accesses - analysis.l1_misses,
@@ -384,7 +364,7 @@ impl Engine {
                 let (result, approx, cal) = loop {
                     warm.sampled_attempts += 1;
                     let (result, approx, cal) =
-                        sampling::run_sampled_with(&scop, memory, &opts, prior, self.walk);
+                        sampling::run_sampled_with(&scop, memory, &opts, prior);
                     let worst = approx
                         .per_level_error_bound
                         .iter()
@@ -422,7 +402,7 @@ impl Engine {
                 (result, None, exact, Some(approx))
             }
             Backend::Trace => {
-                let trace = generate_trace_with(&scop, self.walk);
+                let trace = generate_trace(&scop);
                 let levels = simulate_trace_memory(&trace, memory);
                 let result = SimulationResult {
                     accesses: trace.len() as u64,
@@ -503,7 +483,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_model::{CacheConfig, HierarchyConfig};
+    use cache_model::CacheConfig;
 
     fn stencil() -> KernelSpec {
         KernelSpec::source(
@@ -521,7 +501,7 @@ mod tests {
     fn all_five_backends_dispatch() {
         let engine = Engine::new();
         let single = fa_lru();
-        let hierarchy = MemoryConfig::from(HierarchyConfig::polycache_comparison());
+        let hierarchy = MemoryConfig::polycache_comparison();
         for backend in Backend::ALL {
             let memory = if backend == Backend::PolyCache {
                 hierarchy.clone()
@@ -543,14 +523,14 @@ mod tests {
             let report = engine
                 .run(&SimRequest::new(stencil(), fa_lru(), backend))
                 .unwrap();
-            assert_eq!(report.result.l1().misses, 3 + 2 * 997, "{backend}");
+            assert_eq!(report.result.levels[0].misses, 3 + 2 * 997, "{backend}");
             assert!(report.exact);
         }
         // HayStack models exactly this cache (fully-associative LRU).
         let haystack = engine
             .run(&SimRequest::new(stencil(), fa_lru(), Backend::Haystack))
             .unwrap();
-        assert_eq!(haystack.result.l1().misses, 3 + 2 * 997);
+        assert_eq!(haystack.result.levels[0].misses, 3 + 2 * 997);
         assert!(haystack.exact);
     }
 
@@ -665,7 +645,7 @@ mod tests {
                 .run(&SimRequest::new(kernel.clone(), memory, Backend::Classic))
                 .unwrap()
                 .result
-                .l1()
+                .levels[0]
                 .misses
         };
         assert!(
@@ -766,11 +746,18 @@ mod tests {
         let value: serde::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(
             value
-                .get("result")
-                .and_then(|r| r.get("l1"))
+                .get("levels")
+                .and_then(serde::Value::as_array)
+                .and_then(|levels| levels.first())
                 .and_then(|l| l.get("misses")),
             Some(&serde::Value::UInt(3 + 2 * 997))
         );
+        // `result` carries only the access count: `levels` is the report's
+        // one per-level array.
+        let result = value.get("result").expect("result key");
+        assert_eq!(result.get("accesses"), Some(&serde::Value::UInt(3 * 998)));
+        assert!(result.get("levels").is_none());
+        assert!(result.get("l1").is_none() && result.get("l2").is_none());
         assert_eq!(
             value.get("backend").and_then(serde::Value::as_str),
             Some("warping")

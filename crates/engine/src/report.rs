@@ -164,11 +164,12 @@ pub struct SimReport {
     /// The memory system the request asked for.
     pub memory: MemoryConfig,
     /// Access and per-level hit/miss counts.  For the exact backends these
-    /// counts are bit-for-bit what the legacy entry points produce.
+    /// counts are bit-for-bit those of classic simulation.  Serialises as
+    /// `{"accesses": N}`; the per-level counts travel in `levels`.
     pub result: SimulationResult,
     /// Per-level statistics, L1 first — identical to
-    /// [`SimulationResult::levels`], duplicated at the top level of the
-    /// report for wire compatibility.
+    /// [`SimulationResult::levels`]; the report's only per-level array on
+    /// the wire.
     pub levels: Vec<LevelStats>,
     /// Warping statistics, for the warping backend.
     pub warping: Option<WarpingStats>,

@@ -10,7 +10,7 @@
 //!   extents, array sizes, access offsets, cache geometry, replacement
 //!   policy, write policy or backend.
 
-use cache_model::{CacheConfig, HierarchyConfig, MemoryConfig, ReplacementPolicy, WritePolicy};
+use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy, WritePolicy};
 use engine::{Backend, KernelSpec, SimRequest};
 use proptest::prelude::*;
 
@@ -167,7 +167,7 @@ proptest! {
         let single_a = MemoryConfig::single(l1.clone());
         let single_b = MemoryConfig::new(vec![l1.clone()]).expect("one level is valid");
         // The same two-level system, two constructors.
-        let two_a = MemoryConfig::from(HierarchyConfig::new(l1.clone(), l2.clone()));
+        let two_a = MemoryConfig::two_level(l1.clone(), l2.clone());
         let two_b = MemoryConfig::new(vec![l1, l2]).expect("two levels are valid");
         for (left, right) in [(single_a, single_b), (two_a, two_b)] {
             let a = request(render(&shape, &spelling), left, Backend::Classic);

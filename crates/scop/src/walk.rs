@@ -103,9 +103,10 @@ fn walk_node<'a>(
 /// vector, invoking `visit` for each.  Returns the number of accesses
 /// visited.
 ///
-/// This is the per-subtree slice of [`for_each_access`]: interval samplers
-/// use it to replay one outer-loop iteration at a time (pass the loop node's
-/// child and the outer vector for that iteration) instead of the whole SCoP.
+/// This is the per-subtree slice of [`for_each_access`]: it replays one
+/// outer-loop iteration at a time (pass the loop node's child and the outer
+/// vector for that iteration) instead of the whole SCoP, the reference
+/// counterpart of the compiled walk's `for_each_run_at`.
 pub fn for_each_access_at<'a>(
     node: &'a Node,
     outer: &[i64],

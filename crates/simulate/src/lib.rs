@@ -6,17 +6,18 @@
 //! and applied to a cache model.  Its runtime is proportional to the number
 //! of memory accesses — it is the baseline that warping accelerates.
 //!
-//! The cache model is abstracted behind the [`MemorySystem`] trait.  The
-//! canonical implementation is the depth-N [`MultiLevelSystem`], driven by a
-//! [`MemoryConfig`]; [`SingleCacheSystem`] and [`TwoLevelSystem`] remain as
-//! compatibility shims for the legacy one- and two-level entry points.
+//! The cache model is abstracted behind the [`MemorySystem`] trait, whose
+//! implementation is the depth-N [`MultiLevelSystem`] driven by a
+//! [`MemoryConfig`].  [`simulate`] feeds it the compiled walk (see
+//! `scop::compile`); [`simulate_reference`] feeds it the literal per-access
+//! walk of Algorithm 1, the oracle the compiled walk is diffed against.
 //!
 //! # Example
 //!
 //! ```
-//! use cache_model::{CacheConfig, ReplacementPolicy};
+//! use cache_model::{CacheConfig, MemoryConfig, ReplacementPolicy};
 //! use scop::parse_scop;
-//! use simulate::{simulate, SingleCacheSystem};
+//! use simulate::{simulate, MultiLevelSystem};
 //!
 //! let scop = parse_scop(
 //!     "double A[1000]; double B[1000];
@@ -25,36 +26,18 @@
 //! // A two-line fully-associative LRU cache with 8-byte lines: the paper's
 //! // running example (each array cell occupies a full cache line).
 //! let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-//! let mut memory = SingleCacheSystem::new(config);
+//! let mut memory = MultiLevelSystem::new(MemoryConfig::from(config));
 //! let result = simulate(&scop, &mut memory);
 //! assert_eq!(result.accesses, 3 * 998);
-//! assert_eq!(result.l1().misses, 3 + 2 * 997);
+//! assert_eq!(result.levels[0].misses, 3 + 2 * 997);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cache_model::{
-    AccessKind, CacheConfig, CacheState, HierarchyConfig, HierarchyState, HierarchyStats,
-    LevelStats, MemBlock, MemoryConfig, MultiLevelState,
-};
+use cache_model::{AccessKind, LevelStats, MemBlock, MemoryConfig, MultiLevelState};
 use scop::{compile, for_each_access, Scop};
 use serde::{Serialize, Value};
-
-/// Which SCoP traversal drives a simulation.
-///
-/// Both walks produce the identical access stream; the compiled walk
-/// strength-reduces addresses, hoists bounds/guards and batches
-/// same-line accesses (see `scop::compile`), while the reference walk
-/// is the literal Algorithm 1 kept as the differential oracle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum WalkMode {
-    /// The compile-once/walk-many path (the default everywhere).
-    #[default]
-    Compiled,
-    /// The per-access reference walk of Algorithm 1.
-    Reference,
-}
 
 /// The result of simulating a SCoP against a memory system: per-level
 /// hit/miss counters for every level of the hierarchy, L1 first.  No level's
@@ -68,18 +51,6 @@ pub struct SimulationResult {
 }
 
 impl SimulationResult {
-    /// First-level statistics (compatibility accessor for the old `l1`
-    /// field; zeroed counters if the result is empty).
-    pub fn l1(&self) -> LevelStats {
-        self.levels.first().copied().unwrap_or_default()
-    }
-
-    /// Second-level statistics, if the memory system has an L2
-    /// (compatibility accessor for the old `l2` field).
-    pub fn l2(&self) -> Option<LevelStats> {
-        self.levels.get(1).copied()
-    }
-
     /// Number of simulated cache levels.
     pub fn depth(&self) -> usize {
         self.levels.len()
@@ -93,16 +64,11 @@ impl SimulationResult {
     }
 }
 
+/// Serialises as `{"accesses": N}`: the per-level counters travel once, as
+/// the enclosing report's top-level `levels` array.
 impl Serialize for SimulationResult {
     fn serialize_value(&self) -> Value {
-        Value::Object(vec![
-            ("accesses".to_string(), Value::UInt(self.accesses)),
-            // The legacy `l1`/`l2` keys stay for wire compatibility; the
-            // `levels` array is the canonical, depth-N representation.
-            ("l1".to_string(), self.l1().serialize_value()),
-            ("l2".to_string(), self.l2().serialize_value()),
-            ("levels".to_string(), self.levels.serialize_value()),
-        ])
+        Value::Object(vec![("accesses".to_string(), Value::UInt(self.accesses))])
     }
 }
 
@@ -128,123 +94,12 @@ pub trait MemorySystem {
     }
 }
 
-/// A single set-associative (or fully-associative) cache level.
-///
-/// Compatibility shim: equivalent to a depth-1 [`MultiLevelSystem`].
-#[derive(Clone, Debug)]
-pub struct SingleCacheSystem {
-    config: CacheConfig,
-    state: CacheState<MemBlock>,
-    stats: LevelStats,
-    accesses: u64,
-}
-
-impl SingleCacheSystem {
-    /// An empty cache with the given configuration.
-    pub fn new(config: CacheConfig) -> Self {
-        let state = CacheState::new(&config);
-        SingleCacheSystem {
-            config,
-            state,
-            stats: LevelStats::default(),
-            accesses: 0,
-        }
-    }
-
-    /// The cache configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// The current cache state (for inspection in tests).
-    pub fn state(&self) -> &CacheState<MemBlock> {
-        &self.state
-    }
-}
-
-impl MemorySystem for SingleCacheSystem {
-    fn access(&mut self, address: u64, kind: AccessKind) {
-        let hit = self
-            .state
-            .access(&self.config, cache_model::Access { address, kind });
-        self.stats.record(hit);
-        self.accesses += 1;
-    }
-
-    fn result(&self) -> SimulationResult {
-        SimulationResult {
-            accesses: self.accesses,
-            levels: vec![self.stats],
-        }
-    }
-
-    fn reset(&mut self) {
-        self.state = CacheState::new(&self.config);
-        self.stats = LevelStats::default();
-        self.accesses = 0;
-    }
-}
-
-/// A two-level non-inclusive non-exclusive hierarchy.
-///
-/// Compatibility shim: equivalent to a depth-2 [`MultiLevelSystem`].
-#[derive(Clone, Debug)]
-pub struct TwoLevelSystem {
-    config: HierarchyConfig,
-    state: HierarchyState<MemBlock>,
-    stats: HierarchyStats,
-    accesses: u64,
-}
-
-impl TwoLevelSystem {
-    /// An empty hierarchy with the given configuration.
-    pub fn new(config: HierarchyConfig) -> Self {
-        let state = HierarchyState::new(&config);
-        TwoLevelSystem {
-            config,
-            state,
-            stats: HierarchyStats::default(),
-            accesses: 0,
-        }
-    }
-
-    /// The hierarchy configuration.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.config
-    }
-}
-
-impl MemorySystem for TwoLevelSystem {
-    fn access(&mut self, address: u64, kind: AccessKind) {
-        let outcome = self
-            .state
-            .access(&self.config, cache_model::Access { address, kind });
-        self.stats.record(outcome);
-        self.accesses += 1;
-    }
-
-    fn result(&self) -> SimulationResult {
-        SimulationResult {
-            accesses: self.accesses,
-            levels: vec![self.stats.l1, self.stats.l2],
-        }
-    }
-
-    fn reset(&mut self) {
-        self.state = HierarchyState::new(&self.config);
-        self.stats = HierarchyStats::default();
-        self.accesses = 0;
-    }
-}
-
 /// An N-level non-inclusive non-exclusive memory system driven by a
 /// [`MemoryConfig`]: the single simulation code path behind every depth,
 /// and the memory model of the `engine` facade's `Backend::Classic`.
 ///
 /// On a miss at level `i` the access is forwarded to level `i + 1`; write
-/// misses allocate according to the configuration's write policy.  For one-
-/// and two-level configurations the hit/miss counts are bit-for-bit those of
-/// the legacy systems.
+/// misses allocate according to the configuration's write policy.
 #[derive(Clone, Debug)]
 pub struct MultiLevelSystem {
     /// Configuration with the write-allocate flag of every level normalized
@@ -315,38 +170,22 @@ impl MemorySystem for MultiLevelSystem {
 /// statistics.  The memory system is *not* reset first, so simulations
 /// can be composed, as discussed at the end of §4 of the paper.
 ///
-/// Uses the compiled walk; [`simulate_reference`] (or
-/// [`simulate_with_walk`] with [`WalkMode::Reference`]) runs the literal
-/// Algorithm 1 with bit-identical results.
+/// Uses the compiled walk, which emits the access stream of Algorithm 1 as
+/// run-batched accesses.
 pub fn simulate<M: MemorySystem>(scop: &Scop, memory: &mut M) -> SimulationResult {
-    simulate_with_walk(scop, memory, WalkMode::Compiled)
-}
-
-/// Simulates a SCoP with an explicit [`WalkMode`].
-pub fn simulate_with_walk<M: MemorySystem>(
-    scop: &Scop,
-    memory: &mut M,
-    walk: WalkMode,
-) -> SimulationResult {
-    match walk {
-        WalkMode::Compiled => {
-            let compiled = compile(scop);
-            let mut scratch = compiled.new_scratch();
-            compiled.for_each_run(&mut scratch, |run| {
-                memory.access_run(run.base, run.stride, run.count, run.kind);
-            });
-        }
-        WalkMode::Reference => {
-            for_each_access(scop, |acc| memory.access(acc.address, acc.kind));
-        }
-    }
+    let compiled = compile(scop);
+    let mut scratch = compiled.new_scratch();
+    compiled.for_each_run(&mut scratch, |run| {
+        memory.access_run(run.base, run.stride, run.count, run.kind);
+    });
     memory.result()
 }
 
-/// Simulates a SCoP with the reference walk of Algorithm 1 — the
-/// differential oracle the compiled path is diffed against.
+/// Simulates a SCoP with the reference walk of Algorithm 1, one access at
+/// a time — the differential oracle every backend is diffed against.
 pub fn simulate_reference<M: MemorySystem>(scop: &Scop, memory: &mut M) -> SimulationResult {
-    simulate_with_walk(scop, memory, WalkMode::Reference)
+    for_each_access(scop, |acc| memory.access(acc.address, acc.kind));
+    memory.result()
 }
 
 /// Simulates a SCoP on a fresh N-level memory system.
@@ -355,23 +194,19 @@ pub fn simulate_memory(scop: &Scop, config: &MemoryConfig) -> SimulationResult {
     simulate(scop, &mut memory)
 }
 
-/// Convenience helper: simulates a SCoP on a fresh single-level cache.
-/// Thin wrapper over [`simulate_memory`].
-pub fn simulate_single(scop: &Scop, config: &CacheConfig) -> SimulationResult {
-    simulate_memory(scop, &MemoryConfig::from(config.clone()))
-}
-
-/// Convenience helper: simulates a SCoP on a fresh two-level hierarchy.
-/// Thin wrapper over [`simulate_memory`].
-pub fn simulate_hierarchy(scop: &Scop, config: &HierarchyConfig) -> SimulationResult {
-    simulate_memory(scop, &MemoryConfig::from(config.clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_model::ReplacementPolicy;
+    use cache_model::{CacheConfig, ReplacementPolicy};
     use scop::parse_scop;
+
+    fn simulate_l1(scop: &Scop, config: &CacheConfig) -> SimulationResult {
+        simulate_memory(scop, &MemoryConfig::from(config.clone()))
+    }
+
+    fn single_system(config: CacheConfig) -> MultiLevelSystem {
+        MultiLevelSystem::new(MemoryConfig::from(config))
+    }
 
     fn stencil() -> Scop {
         parse_scop(
@@ -386,10 +221,10 @@ mod tests {
         // Figure 1: 3 misses in the first iteration, then 1 hit and 2 misses
         // per iteration.
         let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let result = simulate_single(&stencil(), &config);
+        let result = simulate_l1(&stencil(), &config);
         assert_eq!(result.accesses, 3 * 998);
-        assert_eq!(result.l1().misses, 3 + 2 * 997);
-        assert_eq!(result.l1().hits, 997);
+        assert_eq!(result.levels[0].misses, 3 + 2 * 997);
+        assert_eq!(result.levels[0].hits, 997);
         assert_eq!(result.depth(), 1);
         assert_eq!(result.last_level_misses(), 3 + 2 * 997);
     }
@@ -399,29 +234,29 @@ mod tests {
         // Figure 3: 4 sets of associativity 2, LRU, one array cell per line.
         // The steady state is also 1 hit + 2 misses per iteration.
         let config = CacheConfig::with_sets(4, 2, 8, ReplacementPolicy::Lru);
-        let result = simulate_single(&stencil(), &config);
-        assert_eq!(result.l1().misses, 3 + 2 * 997);
+        let result = simulate_l1(&stencil(), &config);
+        assert_eq!(result.levels[0].misses, 3 + 2 * 997);
     }
 
     #[test]
     fn two_level_hierarchy_counts() {
-        let config = HierarchyConfig::new(
+        let config = MemoryConfig::two_level(
             CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru),
             CacheConfig::fully_associative(1024, 8, ReplacementPolicy::Lru),
         );
-        let result = simulate_hierarchy(&stencil(), &config);
+        let result = simulate_memory(&stencil(), &config);
         // L2 sees exactly the L1 misses; it is big enough that every block
         // misses only once (cold misses: 999 of A, 998 of B).
-        assert_eq!(result.l2().unwrap().accesses, result.l1().misses);
-        assert_eq!(result.l2().unwrap().misses, 999 + 998);
+        assert_eq!(result.levels[1].accesses, result.levels[0].misses);
+        assert_eq!(result.levels[1].misses, 999 + 998);
         assert_eq!(result.last_level_misses(), 999 + 998);
     }
 
     #[test]
     fn larger_cache_only_cold_misses() {
         let config = CacheConfig::fully_associative(4096, 8, ReplacementPolicy::Lru);
-        let result = simulate_single(&stencil(), &config);
-        assert_eq!(result.l1().misses, 999 + 998);
+        let result = simulate_l1(&stencil(), &config);
+        assert_eq!(result.levels[0].misses, 999 + 998);
     }
 
     #[test]
@@ -431,15 +266,15 @@ mod tests {
         let scop = parse_scop("double A[4096]; for (i = 0; i < 4096; i++) A[i] = 0;").unwrap();
         for policy in ReplacementPolicy::ALL {
             let config = CacheConfig::with_sets(8, 2, 8, policy);
-            let result = simulate_single(&scop, &config);
-            assert_eq!(result.l1().misses, 4096, "{policy}");
+            let result = simulate_l1(&scop, &config);
+            assert_eq!(result.levels[0].misses, 4096, "{policy}");
         }
     }
 
     #[test]
     fn reset_clears_state() {
         let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let mut memory = SingleCacheSystem::new(config);
+        let mut memory = single_system(config);
         let first = simulate(&stencil(), &mut memory);
         memory.reset();
         let second = simulate(&stencil(), &mut memory);
@@ -448,33 +283,47 @@ mod tests {
 
     #[test]
     fn multi_level_system_matches_legacy_systems() {
+        // The one- and two-level inputs of the systems that predate the
+        // depth-N model, checked against the per-access reference walk.
         let scop = stencil();
         for policy in ReplacementPolicy::ALL {
-            let single = CacheConfig::with_sets(4, 2, 8, policy);
-            let mut legacy = SingleCacheSystem::new(single.clone());
-            let mut multi = MultiLevelSystem::new(MemoryConfig::from(single));
-            assert_eq!(simulate(&scop, &mut multi), simulate(&scop, &mut legacy));
+            let single = MemoryConfig::from(CacheConfig::with_sets(4, 2, 8, policy));
+            let mut multi = MultiLevelSystem::new(single.clone());
+            let mut reference = MultiLevelSystem::new(single);
+            assert_eq!(
+                simulate(&scop, &mut multi),
+                simulate_reference(&scop, &mut reference)
+            );
         }
-        let hierarchy = HierarchyConfig::new(
+        let hierarchy = MemoryConfig::two_level(
             CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru),
             CacheConfig::fully_associative(1024, 8, ReplacementPolicy::Lru),
         );
-        let mut legacy = TwoLevelSystem::new(hierarchy.clone());
-        let mut multi = MultiLevelSystem::new(MemoryConfig::from(hierarchy));
-        assert_eq!(simulate(&scop, &mut multi), simulate(&scop, &mut legacy));
+        let mut multi = MultiLevelSystem::new(hierarchy.clone());
+        let mut reference = MultiLevelSystem::new(hierarchy);
+        assert_eq!(
+            simulate(&scop, &mut multi),
+            simulate_reference(&scop, &mut reference)
+        );
     }
 
     #[test]
     fn write_policy_overrides_per_level_flags() {
-        // The hierarchy-wide write policy governs, exactly as in the legacy
-        // TwoLevelSystem, even if a level's own flag disagrees.
+        // The hierarchy-wide write policy (write-allocate) governs even if
+        // the L1's own flag says no-write-allocate.
         let scop = parse_scop("double A[64]; for (i = 0; i < 64; i++) A[i] = 0;").unwrap();
         let l1 = CacheConfig::fully_associative(4, 8, ReplacementPolicy::Lru).no_write_allocate();
         let l2 = CacheConfig::fully_associative(64, 8, ReplacementPolicy::Lru);
-        let hierarchy = HierarchyConfig::new(l1, l2);
-        let mut legacy = TwoLevelSystem::new(hierarchy.clone());
-        let mut multi = MultiLevelSystem::new(MemoryConfig::from(hierarchy));
-        assert_eq!(simulate(&scop, &mut multi), simulate(&scop, &mut legacy));
+        let config = MemoryConfig::two_level(l1, l2);
+        let mut multi = MultiLevelSystem::new(config.clone());
+        assert!(multi.config().levels().iter().all(|l| l.write_allocate()));
+        let mut reference = MultiLevelSystem::new(config);
+        let result = simulate(&scop, &mut multi);
+        assert_eq!(result, simulate_reference(&scop, &mut reference));
+        // 64 writes to 64 distinct one-element lines miss at both levels.
+        assert_eq!(result.levels[0].misses, 64);
+        assert_eq!(result.levels[1].accesses, 64);
+        assert_eq!(result.levels[1].misses, 64);
     }
 
     #[test]
@@ -506,15 +355,15 @@ mod tests {
         )
         .unwrap();
         let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let result = simulate_single(&scop, &config);
+        let result = simulate_l1(&scop, &config);
         assert_eq!(result.accesses, 3 * 499);
-        assert_eq!(result.l1().misses, 3 * 499);
+        assert_eq!(result.levels[0].misses, 3 * 499);
         // With 8-byte elements and a 16-byte line, A[i-1] and A[i] share a
         // line: one miss plus one hit per iteration, B misses every other
         // iteration's line.
         let wide = CacheConfig::fully_associative(4, 16, ReplacementPolicy::Lru);
-        let result = simulate_single(&scop, &wide);
-        assert_eq!(result.l1().hits, 499);
+        let result = simulate_l1(&scop, &wide);
+        assert_eq!(result.levels[0].hits, 499);
     }
 
     #[test]
@@ -552,12 +401,12 @@ mod tests {
     fn composition_without_reset_keeps_state() {
         let config = CacheConfig::fully_associative(64, 8, ReplacementPolicy::Lru);
         let scop = parse_scop("double A[32]; for (i = 0; i < 32; i++) A[i] = A[i];").unwrap();
-        let mut memory = SingleCacheSystem::new(config);
+        let mut memory = single_system(config);
         let first = simulate(&scop, &mut memory);
-        assert_eq!(first.l1().misses, 32);
+        assert_eq!(first.levels[0].misses, 32);
         // Second run hits everywhere because the cache is still warm.
         let second = simulate(&scop, &mut memory);
-        assert_eq!(second.l1().misses, 32);
-        assert_eq!(second.l1().hits, 2 * 32 + 32);
+        assert_eq!(second.levels[0].misses, 32);
+        assert_eq!(second.levels[0].hits, 2 * 32 + 32);
     }
 }

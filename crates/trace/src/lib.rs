@@ -5,7 +5,7 @@
 //!
 //! * [`generate_trace`] materialises the full sequence of memory accesses of
 //!   a SCoP, like a binary-instrumentation trace would;
-//! * [`simulate_trace`] / [`simulate_trace_hierarchy`] drive a cache model
+//! * [`simulate_trace`] / [`simulate_trace_memory`] drive a cache model
 //!   over such a trace, access by access — the classic trace-driven
 //!   simulator whose cost is proportional to the trace length (the Dinero IV
 //!   baseline of Fig. 12);
@@ -20,11 +20,9 @@
 #![warn(missing_docs)]
 
 use cache_model::{
-    Access, CacheConfig, CacheState, HierarchyConfig, HierarchyStats, LevelStats, MemoryConfig,
-    MultiLevelState, ReplacementPolicy,
+    Access, CacheConfig, CacheState, LevelStats, MemoryConfig, MultiLevelState, ReplacementPolicy,
 };
 use scop::{compile, elaborate, for_each_access, parse_program, ElaborateOptions, Scop};
-use simulate::WalkMode;
 
 /// Materialises the complete memory-access trace of a SCoP.
 ///
@@ -32,33 +30,13 @@ use simulate::WalkMode;
 /// in execution order.  For large problem sizes this is deliberately
 /// expensive — it models the trace-generation overhead of binary
 /// instrumentation (QEMU in the paper's Dinero IV baseline).
-///
-/// Uses the compiled walk; [`generate_trace_with`] selects the walk
-/// explicitly (the streams are identical).
 pub fn generate_trace(scop: &Scop) -> Vec<Access> {
-    generate_trace_with(scop, WalkMode::Compiled)
-}
-
-/// Materialises the trace with an explicit [`WalkMode`].
-pub fn generate_trace_with(scop: &Scop, walk: WalkMode) -> Vec<Access> {
     let mut trace = Vec::new();
-    match walk {
-        WalkMode::Compiled => {
-            let compiled = compile(scop);
-            let mut scratch = compiled.new_scratch();
-            compiled.for_each_access(&mut scratch, |_, address, kind| {
-                trace.push(Access { address, kind });
-            });
-        }
-        WalkMode::Reference => {
-            for_each_access(scop, |acc| {
-                trace.push(Access {
-                    address: acc.address,
-                    kind: acc.kind,
-                })
-            });
-        }
-    }
+    let compiled = compile(scop);
+    let mut scratch = compiled.new_scratch();
+    compiled.for_each_access(&mut scratch, |_, address, kind| {
+        trace.push(Access { address, kind });
+    });
     trace
 }
 
@@ -74,9 +52,8 @@ pub fn simulate_trace(trace: &[Access], config: &CacheConfig) -> LevelStats {
 }
 
 /// Simulates a trace against an N-level memory system, returning the
-/// statistics of every level (L1 first).  This is the single trace-replay
-/// path behind both [`simulate_trace_hierarchy`] and the engine's trace
-/// backend, whatever the depth.  The replay state is sparse, so the cost is
+/// statistics of every level (L1 first).  This is the trace-replay path
+/// behind the engine's trace backend, whatever the depth.  The replay state is sparse, so the cost is
 /// the trace length plus the touched sets — never the cache capacity.
 pub fn simulate_trace_memory(trace: &[Access], config: &MemoryConfig) -> Vec<LevelStats> {
     let config = config.normalized();
@@ -86,16 +63,6 @@ pub fn simulate_trace_memory(trace: &[Access], config: &MemoryConfig) -> Vec<Lev
         state.access(&config, *access).record_into(&mut stats);
     }
     stats
-}
-
-/// Simulates a trace against a two-level hierarchy.  Compatibility wrapper
-/// over [`simulate_trace_memory`].
-pub fn simulate_trace_hierarchy(trace: &[Access], config: &HierarchyConfig) -> HierarchyStats {
-    let levels = simulate_trace_memory(trace, &MemoryConfig::from(config.clone()));
-    HierarchyStats {
-        l1: levels[0],
-        l2: levels[1],
-    }
 }
 
 /// End-to-end Dinero-IV-style simulation of a SCoP: generate the trace, then
@@ -261,14 +228,14 @@ mod tests {
 
     #[test]
     fn hierarchy_trace_simulation() {
-        let config = HierarchyConfig::new(
+        let config = MemoryConfig::two_level(
             CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru),
             CacheConfig::fully_associative(4096, 8, ReplacementPolicy::Lru),
         );
         let trace = generate_trace(&stencil());
-        let stats = simulate_trace_hierarchy(&trace, &config);
-        assert_eq!(stats.l1.misses, 3 + 2 * 997);
-        assert_eq!(stats.l2.misses, 999 + 998);
+        let stats = simulate_trace_memory(&trace, &config);
+        assert_eq!(stats[0].misses, 3 + 2 * 997);
+        assert_eq!(stats[1].misses, 999 + 998);
     }
 
     #[test]
@@ -296,22 +263,6 @@ mod tests {
         let m = reference.measure_source(source).unwrap();
         // Each iteration: read s, read A[i], write s.
         assert_eq!(m.accesses, 300);
-    }
-
-    #[test]
-    fn compiled_and_reference_traces_are_identical() {
-        for src in [
-            "double A[1000]; double B[1000];\n\
-             for (i = 1; i < 999; i++) B[i-1] = A[i-1] + A[i];",
-            "double A[10]; for (i = 9; i >= 0; i -= 3) if (i < 7) A[i] = 0;",
-        ] {
-            let scop = parse_scop(src).unwrap();
-            assert_eq!(
-                generate_trace_with(&scop, WalkMode::Compiled),
-                generate_trace_with(&scop, WalkMode::Reference),
-                "{src}"
-            );
-        }
     }
 
     #[test]

@@ -33,21 +33,20 @@
 //! block shift is zero or the level saw no traffic during the matched
 //! chunk).  This is what lets kernels whose working set fits in the L1 warp
 //! over arbitrarily large outer levels: the outer levels' labels froze
-//! during warm-up, and under current-iterator normalisation ([
-//! `WarpingOptions::label_renorm`] = `false`) their keys would drift apart
-//! forever even though the states are physically identical.
+//! during warm-up, and normalised by the current iterator their keys would
+//! drift apart forever even though the states are physically identical.
 
 use crate::fingerprint::MAX_TRACKED_DIMS;
 use crate::key::CanonicalKey;
 use crate::plan::{plan_warp, LevelWarpMode};
 use crate::symstate::SymLevel;
-use cache_model::{CacheConfig, HierarchyConfig, LevelStats, MemBlock, MemoryConfig};
+use cache_model::{LevelStats, MemBlock, MemoryConfig};
 use polyhedra::Aff;
 use scop::{
     compile, AccessNode, CompiledAccess, CompiledLoop, CompiledNode, EntryBounds, LoopNode, Node,
     Scop,
 };
-use simulate::{SimulationResult, WalkMode};
+use simulate::SimulationResult;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -56,11 +55,9 @@ use std::time::Instant;
 
 /// The memory system simulated by the warping simulator.
 ///
-/// This is the workspace-wide [`MemoryConfig`] — the old parallel
-/// `WarpingMemory` enum (`Single`/`Hierarchy`) is gone; construct a
-/// `MemoryConfig` (e.g. via `From<CacheConfig>` or `From<HierarchyConfig>`)
-/// and pass it to [`WarpingSimulator::new`].  The warping simulator supports
-/// memory systems of any depth ≥ 1.
+/// This is the workspace-wide [`MemoryConfig`]; pass one to
+/// [`WarpingSimulator::new`].  The warping simulator supports memory
+/// systems of any depth ≥ 1.
 pub type WarpingMemory = MemoryConfig;
 
 /// The outcome of a warping simulation.
@@ -206,17 +203,6 @@ pub struct WarpingOptions {
     /// exhaustive key-per-attempt pipeline (useful for differential testing
     /// and ablation); results are bit-identical either way.
     pub fingerprint_filter: bool,
-    /// Whether canonical keys normalise each level's descendant labels by
-    /// that level's epoch (the warped-iterator stamp of the last access
-    /// that wrote a label there) instead of the current iterator value.
-    /// Epoch normalisation makes *frozen* labels — outer-level lines that
-    /// stopped being touched because the working set fits further in —
-    /// shift-invariant, unlocking warps on L1-resident kernels over big
-    /// hierarchies.  Disabling it restores the pre-epoch pipeline (every
-    /// level normalised by the current iterator); miss counts are
-    /// bit-identical either way — renormalisation only changes *which*
-    /// states are recognised as matching, never what a warp extrapolates.
-    pub label_renorm: bool,
     /// Whether warp application may fan out across levels (and across sets
     /// within large levels) over the simulator's [thread
     /// budget](WarpingSimulator::with_threads).  The rewrite of each set is
@@ -242,7 +228,6 @@ impl WarpingOptions {
         min_trip_count: 24,
         max_fruitless_attempts: 512,
         fingerprint_filter: true,
-        label_renorm: true,
         parallel_warp: true,
     };
 
@@ -364,12 +349,6 @@ pub struct WarpingSimulator {
     /// Donor hints from a similar earlier run (see [`WarpHints`]); `None`
     /// runs the cold schedule.
     hints: Option<WarpHints>,
-    /// How the explicit (non-warped) iterations step through the SCoP:
-    /// the compiled walk hoists loop bounds and guards (see
-    /// [`scop::compile`]), the reference walk re-derives them per entry.
-    /// The match-attempt schedule — and every count — is bit-identical
-    /// either way.
-    walk: WalkMode,
     /// Depths at which this run applied at least one warp.
     warped_depths: HashSet<usize>,
     /// Depths at which some loop exhausted its fruitless budget.
@@ -377,18 +356,6 @@ pub struct WarpingSimulator {
 }
 
 impl WarpingSimulator {
-    /// A simulator for a single cache level.  Compatibility wrapper over
-    /// [`WarpingSimulator::new`].
-    pub fn single(config: CacheConfig) -> Self {
-        WarpingSimulator::new(MemoryConfig::from(config))
-    }
-
-    /// A simulator for a two-level hierarchy.  Compatibility wrapper over
-    /// [`WarpingSimulator::new`].
-    pub fn hierarchy(config: HierarchyConfig) -> Self {
-        WarpingSimulator::new(MemoryConfig::from(config))
-    }
-
     /// A simulator for any memory system of depth ≥ 1.  The configuration is
     /// [normalized](MemoryConfig::normalized) first, so the hierarchy-wide
     /// write policy governs write allocation at every level, exactly as in
@@ -419,7 +386,6 @@ impl WarpingSimulator {
             warp_apply_ns: 0,
             fruitless: HashMap::new(),
             hints: None,
-            walk: WalkMode::default(),
             warped_depths: HashSet::new(),
             exhausted_depths: HashSet::new(),
         })
@@ -450,17 +416,6 @@ impl WarpingSimulator {
     /// are bit-identical for every budget.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.warp_threads = threads.max(1);
-        self
-    }
-
-    /// Selects how the explicit (non-warped) iterations walk the SCoP.
-    /// The default is [`WalkMode::Compiled`]: loop bounds and access
-    /// guards are hoisted once per run, so exact loops skip the
-    /// per-iteration membership checks.  [`WalkMode::Reference`] restores
-    /// the literal per-entry lexmin/lexmax stepping; every simulation
-    /// count is bit-identical either way.
-    pub fn with_walk(mut self, walk: WalkMode) -> Self {
-        self.walk = walk;
         self
     }
 
@@ -511,9 +466,8 @@ impl WarpingSimulator {
         // The compiled tree mirrors the source tree node for node, so the
         // explicit walk steps both in lockstep and consults the compiled
         // side for hoisted bounds and guards.
-        let compiled = (self.walk == WalkMode::Compiled).then(|| compile(scop));
-        for (idx, root) in scop.roots().iter().enumerate() {
-            let croot = compiled.as_ref().map(|c| &c.roots()[idx]);
+        let compiled = compile(scop);
+        for (root, croot) in scop.roots().iter().zip(compiled.roots()) {
             self.simulate_node(root, croot, &[], &mut ctx);
         }
         self.outcome()
@@ -547,33 +501,21 @@ impl WarpingSimulator {
     fn simulate_node<'a>(
         &mut self,
         node: &'a Node,
-        cnode: Option<&CompiledNode>,
+        cnode: &CompiledNode,
         outer: &[i64],
         ctx: &mut RunCtx<'a>,
     ) {
-        match node {
-            Node::Access(a) => {
-                let ca = cnode.and_then(|c| match c {
-                    CompiledNode::Access(ca) => Some(ca),
-                    CompiledNode::Loop(_) => None,
-                });
-                self.simulate_access(a, ca, outer);
-            }
-            Node::Loop(l) => {
-                let cl = cnode.and_then(|c| match c {
-                    CompiledNode::Loop(cl) => Some(cl),
-                    CompiledNode::Access(_) => None,
-                });
-                self.simulate_loop(l, cl, outer, ctx);
-            }
+        match (node, cnode) {
+            (Node::Access(a), CompiledNode::Access(ca)) => self.simulate_access(a, ca, outer),
+            (Node::Loop(l), CompiledNode::Loop(cl)) => self.simulate_loop(l, cl, outer, ctx),
+            _ => unreachable!("the compiled tree mirrors the source tree node for node"),
         }
     }
 
-    fn simulate_access(&mut self, access: &AccessNode, ca: Option<&CompiledAccess>, outer: &[i64]) {
+    fn simulate_access(&mut self, access: &AccessNode, ca: &CompiledAccess, outer: &[i64]) {
         // A hoisted-trivial guard means membership is implied by the
         // enclosing exact loops — skip the per-point union-set check.
-        let guard_free = ca.is_some_and(|c| c.guard_is_trivial());
-        if !guard_free && !access.domain.contains(outer) {
+        if !ca.guard_is_trivial() && !access.domain.contains(outer) {
             return;
         }
         let address = access.address_at(outer);
@@ -631,20 +573,12 @@ impl WarpingSimulator {
     /// `depth` with current warped-iterator value `v`: each level's epoch on
     /// the warped dimension, falling back to `v` for levels without a stamp
     /// that deep (empty levels, or levels last written by a shallower
-    /// access — the fallback reproduces the pre-epoch behaviour for them).
-    /// With [`WarpingOptions::label_renorm`] disabled every level
-    /// normalises by `v`, restoring the old pipeline bit for bit.
+    /// access — the fallback normalises them by the current iterator).
     fn epoch_normalizers(&self, depth: usize, v: i64) -> Vec<i64> {
         let dim = depth - 1;
         self.levels
             .iter()
-            .map(|level| {
-                if self.options.label_renorm {
-                    level.epoch_at(dim).unwrap_or(v)
-                } else {
-                    v
-                }
-            })
+            .map(|level| level.epoch_at(dim).unwrap_or(v))
             .collect()
     }
 
@@ -661,26 +595,28 @@ impl WarpingSimulator {
     fn simulate_loop<'a>(
         &mut self,
         loop_node: &'a LoopNode,
-        cl: Option<&CompiledLoop>,
+        cl: &CompiledLoop,
         outer: &[i64],
         ctx: &mut RunCtx<'a>,
     ) {
         let depth = loop_node.depth;
         // Hoisted bounds: an exact entry interval makes the per-iteration
-        // domain checks redundant, and an exactly-empty entry returns
-        // without the lexmin/lexmax searches the reference path pays.
-        let bounds = cl.map(|c| c.entry_bounds(outer));
-        if matches!(bounds, Some(EntryBounds::Empty)) {
+        // domain checks redundant, and an exactly-empty entry returns at
+        // once.  Only a domain that did not compile exactly
+        // (`EntryBounds::Dynamic`) derives its bounds by lexmin/lexmax and
+        // checks membership per iteration.
+        let bounds = cl.entry_bounds(outer);
+        if bounds == EntryBounds::Empty {
             return;
         }
-        let exact = matches!(bounds, Some(EntryBounds::Exact(..)));
+        let exact = matches!(bounds, EntryBounds::Exact(..));
         if loop_node.stride < 0 {
             // Decreasing loops walk lexmax-first.  They are simulated
             // explicitly: warp matching assumes increasing iterators (the
             // match map stores the *earlier* state), and extending it to
             // negative periods is an open ROADMAP item.
             let (mut i, v_lo) = match bounds {
-                Some(EntryBounds::Exact(lo, hi)) => {
+                EntryBounds::Exact(lo, hi) => {
                     let mut i = Vec::with_capacity(depth);
                     i.extend_from_slice(outer);
                     i.push(hi);
@@ -698,8 +634,8 @@ impl WarpingSimulator {
             };
             while i[depth - 1] >= v_lo {
                 if exact || loop_node.domain.contains(&i) {
-                    for (idx, child) in loop_node.children.iter().enumerate() {
-                        self.simulate_node(child, cl.map(|c| &c.children()[idx]), &i, ctx);
+                    for (child, cchild) in loop_node.children.iter().zip(cl.children()) {
+                        self.simulate_node(child, cchild, &i, ctx);
                     }
                 }
                 i[depth - 1] += loop_node.stride;
@@ -707,7 +643,7 @@ impl WarpingSimulator {
             return;
         }
         let (mut i, v_last) = match bounds {
-            Some(EntryBounds::Exact(lo, hi)) => {
+            EntryBounds::Exact(lo, hi) => {
                 let mut i = Vec::with_capacity(depth);
                 i.extend_from_slice(outer);
                 i.push(lo);
@@ -775,8 +711,8 @@ impl WarpingSimulator {
                 }
             }
             if exact || loop_node.domain.contains(&i) {
-                for (idx, child) in loop_node.children.iter().enumerate() {
-                    self.simulate_node(child, cl.map(|c| &c.children()[idx]), &i, ctx);
+                for (child, cchild) in loop_node.children.iter().zip(cl.children()) {
+                    self.simulate_node(child, cchild, &i, ctx);
                 }
             }
             i[depth - 1] += loop_node.stride;
@@ -1039,9 +975,18 @@ fn descendants(loop_node: &LoopNode) -> Vec<&AccessNode> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache_model::CacheConfig;
     use cache_model::ReplacementPolicy;
     use scop::parse_scop;
-    use simulate::{simulate_hierarchy, simulate_single};
+    use simulate::{simulate_memory, simulate_reference, MultiLevelSystem};
+
+    fn simulate_l1(scop: &Scop, config: &CacheConfig) -> SimulationResult {
+        simulate_memory(scop, &MemoryConfig::from(config.clone()))
+    }
+
+    fn single(config: CacheConfig) -> WarpingSimulator {
+        WarpingSimulator::new(MemoryConfig::from(config))
+    }
 
     fn stencil(n: i64) -> Scop {
         parse_scop(&format!(
@@ -1057,8 +1002,8 @@ mod tests {
     fn warping_is_exact_on_the_running_example() {
         let scop = stencil(1000);
         let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let reference = simulate_l1(&scop, &config);
+        let outcome = single(config).run(&scop);
         assert_eq!(outcome.result, reference);
         assert!(outcome.warps >= 1, "the stencil must warp");
         assert!(
@@ -1073,8 +1018,8 @@ mod tests {
     fn warping_is_exact_on_a_set_associative_plru_cache() {
         let scop = stencil(4000);
         let config = CacheConfig::new(4 * 1024, 8, 64, ReplacementPolicy::Plru);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let reference = simulate_l1(&scop, &config);
+        let outcome = single(config).run(&scop);
         assert_eq!(outcome.result, reference);
         assert!(outcome.warps >= 1);
     }
@@ -1084,8 +1029,8 @@ mod tests {
         let scop = stencil(3000);
         for policy in ReplacementPolicy::ALL {
             let config = CacheConfig::new(2 * 1024, 4, 64, policy);
-            let reference = simulate_single(&scop, &config);
-            let outcome = WarpingSimulator::single(config).run(&scop);
+            let reference = simulate_l1(&scop, &config);
+            let outcome = single(config).run(&scop);
             assert_eq!(outcome.result, reference, "{policy}");
         }
     }
@@ -1093,12 +1038,12 @@ mod tests {
     #[test]
     fn warping_is_exact_on_a_two_level_hierarchy() {
         let scop = stencil(3000);
-        let config = HierarchyConfig::new(
+        let config = MemoryConfig::two_level(
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
         );
-        let reference = simulate_hierarchy(&scop, &config);
-        let outcome = WarpingSimulator::hierarchy(config).run(&scop);
+        let reference = simulate_memory(&scop, &config);
+        let outcome = WarpingSimulator::new(config).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -1113,8 +1058,8 @@ mod tests {
         )
         .unwrap();
         let config = CacheConfig::new(2 * 1024, 4, 64, ReplacementPolicy::Lru);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let reference = simulate_l1(&scop, &config);
+        let outcome = single(config).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -1126,8 +1071,8 @@ mod tests {
         )
         .unwrap();
         let config = CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let reference = simulate_l1(&scop, &config);
+        let outcome = single(config).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -1140,8 +1085,8 @@ mod tests {
         )
         .unwrap();
         let config = CacheConfig::new(2 * 1024, 8, 64, ReplacementPolicy::Plru);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let reference = simulate_l1(&scop, &config);
+        let outcome = single(config).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -1172,7 +1117,7 @@ mod tests {
     #[should_panic(expected = "backoff_interval")]
     fn with_options_panics_on_zero_backoff() {
         let config = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let _ = WarpingSimulator::single(config).with_options(WarpingOptions {
+        let _ = single(config).with_options(WarpingOptions {
             backoff_interval: 0,
             ..WarpingOptions::default()
         });
@@ -1181,18 +1126,17 @@ mod tests {
     #[test]
     fn memory_config_construction_matches_dedicated_constructors() {
         let scop = stencil(1000);
-        let single = CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru);
-        let from_memory = WarpingSimulator::new(WarpingMemory::from(single.clone())).run(&scop);
-        let direct = WarpingSimulator::single(single).run(&scop);
-        assert_eq!(from_memory, direct);
-
-        let hierarchy = HierarchyConfig::new(
+        let single =
+            MemoryConfig::from(CacheConfig::fully_associative(2, 8, ReplacementPolicy::Lru));
+        let hierarchy = MemoryConfig::two_level(
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Lru),
         );
-        let from_memory = WarpingSimulator::new(WarpingMemory::from(hierarchy.clone())).run(&scop);
-        let direct = WarpingSimulator::hierarchy(hierarchy).run(&scop);
-        assert_eq!(from_memory, direct);
+        for memory in [single, hierarchy] {
+            let outcome = WarpingSimulator::new(memory.clone()).run(&scop);
+            let reference = simulate_reference(&scop, &mut MultiLevelSystem::new(memory));
+            assert_eq!(outcome.result, reference);
+        }
     }
 
     #[test]
@@ -1204,7 +1148,7 @@ mod tests {
             CacheConfig::with_sets(8, 8, 64, ReplacementPolicy::Lru),
         ])
         .unwrap();
-        let reference = simulate::simulate_memory(&scop, &memory);
+        let reference = simulate_memory(&scop, &memory);
         let outcome = WarpingSimulator::new(memory).run(&scop);
         assert_eq!(outcome.result, reference);
         assert_eq!(outcome.result.depth(), 3);
@@ -1222,12 +1166,12 @@ mod tests {
         .unwrap();
         for policy in ReplacementPolicy::ALL {
             let config = CacheConfig::new(2 * 1024, 4, 64, policy);
-            let reference = simulate_single(&scop, &config);
-            let outcome = WarpingSimulator::single(config).run(&scop);
+            let reference = simulate_l1(&scop, &config);
+            let outcome = single(config).run(&scop);
             assert_eq!(outcome.result, reference, "{policy}");
         }
         let config = CacheConfig::new(2 * 1024, 4, 64, ReplacementPolicy::Lru);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let outcome = single(config).run(&scop);
         assert!(outcome.warps >= 1, "the strided stencil must warp");
     }
 
@@ -1242,7 +1186,7 @@ mod tests {
             CacheConfig::new(1024, 4, 64, ReplacementPolicy::Plru),
             CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Plru),
         );
-        let reference = simulate::simulate_memory(&scop, &memory);
+        let reference = simulate_memory(&scop, &memory);
         let outcome = WarpingSimulator::new(memory).run(&scop);
         assert_eq!(outcome.result, reference);
     }
@@ -1253,8 +1197,8 @@ mod tests {
         // warping opportunities are limited but correctness must hold.
         let scop = stencil(64);
         let config = CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Plru);
-        let reference = simulate_single(&scop, &config);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let reference = simulate_l1(&scop, &config);
+        let outcome = single(config).run(&scop);
         assert_eq!(outcome.result, reference);
     }
 
@@ -1377,52 +1321,10 @@ mod tests {
     }
 
     #[test]
-    fn compiled_and_reference_walks_produce_identical_outcomes() {
-        // The walk mode only changes how explicit iterations derive
-        // bounds and guards; every count — including the match-attempt
-        // telemetry, which depends on the attempt schedule — must be
-        // bit-identical.
-        let kernels = [
-            stencil(4000),
-            parse_scop(
-                "double A[200][200]; double x[200]; double c[200];\n\
-                 for (i = 0; i < 200; i++) {\n\
-                   c[i] = 0;\n\
-                   for (j = i; j < 200; j++) c[i] = c[i] + A[i][j] * x[j];\n\
-                 }",
-            )
-            .unwrap(),
-            parse_scop(
-                "double A[3000]; double B[3000];\n\
-                 for (i = 1; i < 2999; i++) if (i < 1500) B[i-1] = A[i-1] + A[i];",
-            )
-            .unwrap(),
-            parse_scop(
-                "double A[4000];\n\
-                 for (i = 3999; i >= 0; i -= 2) A[i] = A[i];",
-            )
-            .unwrap(),
-        ];
-        let memory = WarpingMemory::two_level(
-            CacheConfig::new(1024, 4, 64, ReplacementPolicy::Lru),
-            CacheConfig::new(8 * 1024, 8, 64, ReplacementPolicy::Plru),
-        );
-        for (idx, scop) in kernels.iter().enumerate() {
-            let compiled = WarpingSimulator::new(memory.clone())
-                .with_walk(WalkMode::Compiled)
-                .run(scop);
-            let reference = WarpingSimulator::new(memory.clone())
-                .with_walk(WalkMode::Reference)
-                .run(scop);
-            assert_eq!(compiled, reference, "kernel {idx}");
-        }
-    }
-
-    #[test]
     fn telemetry_counters_are_consistent() {
         let scop = stencil(3000);
         let config = CacheConfig::new(2 * 1024, 4, 64, ReplacementPolicy::Lru);
-        let outcome = WarpingSimulator::single(config).run(&scop);
+        let outcome = single(config).run(&scop);
         assert!(outcome.match_attempts >= outcome.fingerprint_hits);
         assert!(outcome.match_attempts >= outcome.exact_key_builds);
         assert!(outcome.fingerprint_hits >= outcome.warps);

@@ -12,11 +12,11 @@
 //!    (warp opportunities may be found at slightly different iterations;
 //!    the counts never change).
 
-use cache_model::{AccessKind, CacheConfig, MemBlock, ReplacementPolicy};
+use cache_model::{AccessKind, CacheConfig, MemBlock, MemoryConfig, ReplacementPolicy};
 use polyhedra::Aff;
 use proptest::prelude::*;
 use scop::parse_scop;
-use simulate::simulate_single;
+use simulate::simulate_memory;
 use std::collections::HashSet;
 use warping::fingerprint::rebuild_level_fingerprint;
 use warping::{SymLevel, WarpingOptions, WarpingSimulator};
@@ -186,9 +186,10 @@ proptest! {
         ))
         .unwrap();
         let config = CacheConfig::with_sets(sets, assoc, line, policy);
-        let reference = simulate_single(&scop, &config);
+        let memory = MemoryConfig::from(config.clone());
+        let reference = simulate_memory(&scop, &memory);
         for filter in [true, false] {
-            let outcome = WarpingSimulator::single(config.clone())
+            let outcome = WarpingSimulator::new(memory.clone())
                 .with_options(WarpingOptions {
                     fingerprint_filter: filter,
                     ..WarpingOptions::default()

@@ -40,7 +40,7 @@ fn main() -> Result<(), String> {
         SimRequest::new(spec.clone(), fa_l1, Backend::Haystack),
         SimRequest::new(
             spec.clone(),
-            HierarchyConfig::polycache_comparison(),
+            MemoryConfig::polycache_comparison(),
             Backend::PolyCache,
         ),
         SimRequest::new(spec, MemoryConfig::test_system(), Backend::warping()),

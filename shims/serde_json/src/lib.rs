@@ -36,6 +36,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// arbitrary documents).
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -124,7 +125,10 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// `pos` only ever advances over ASCII bytes or whole plain-character
+/// runs, so it always sits on a character boundary of `text`.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -260,12 +264,18 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid UTF-8".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote
+                    // or escape (both ASCII, so `end` is a boundary too).
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let run = self
+                        .text
+                        .get(self.pos..end)
+                        .ok_or_else(|| Error("invalid UTF-8".into()))?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
                 None => return Err(Error("unterminated string".into())),
             }
@@ -335,5 +345,16 @@ mod tests {
         let text = to_string(&value).unwrap();
         assert_eq!(text, r#""a\"b\\c\nd""#);
         assert_eq!(from_str::<Value>(&text).unwrap(), value);
+    }
+
+    #[test]
+    fn multibyte_runs_between_escapes() {
+        let text = r#"["é→x", "ü\n😀", "\u00e9z"]"#;
+        let expected = Value::Array(vec![
+            Value::Str("é→x".into()),
+            Value::Str("ü\n😀".into()),
+            Value::Str("éz".into()),
+        ]);
+        assert_eq!(from_str::<Value>(text).unwrap(), expected);
     }
 }

@@ -53,7 +53,7 @@
 //!     engine.run(&SimRequest::new(kernel.clone(), memory.clone(), Backend::Classic))?;
 //! let outcome = engine.run(&SimRequest::new(kernel, memory, Backend::warping()))?;
 //! assert_eq!(outcome.result, reference.result);
-//! assert_eq!(reference.result.l1().misses, 3 + 2 * 997);
+//! assert_eq!(reference.levels[0].misses, 3 + 2 * 997);
 //!
 //! // ... but warping skips almost all of the accesses.
 //! let stats = outcome.warping.unwrap();
@@ -61,11 +61,11 @@
 //! # Ok::<(), warpsim::engine::EngineError>(())
 //! ```
 //!
-//! The legacy per-simulator entry points (`simulate_single`,
-//! `WarpingSimulator`, `HaystackModel`, `dinero_style_simulation`, ...)
-//! remain available — the engine is a facade over them, not a replacement —
-//! but new code should prefer the engine: it is the seam where batching,
-//! result caching and serving plug in.
+//! The per-simulator entry points (`simulate_memory`, `WarpingSimulator`,
+//! `HaystackModel`, `dinero_style_simulation`, ...) remain available — the
+//! engine is a facade over them, not a replacement — but new code should
+//! prefer the engine: it is the seam where batching, result caching and
+//! serving plug in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,9 +84,8 @@ pub use warping;
 pub mod prelude {
     pub use analytical::{HaystackModel, PolyCacheModel};
     pub use cache_model::{
-        Access, AccessKind, CacheConfig, CacheState, HierarchyConfig, HierarchyState, MemBlock,
-        MemoryConfig, MemoryConfigError, MultiAccessOutcome, MultiLevelState, ReplacementPolicy,
-        WritePolicy,
+        Access, AccessKind, CacheConfig, CacheState, LookupOutcome, MemBlock, MemoryConfig,
+        MemoryConfigError, MultiLevelState, ReplacementPolicy, WritePolicy,
     };
     pub use engine::{
         Backend, Engine, EngineError, KernelSpec, SimReport, SimRequest, WarpingStats,
@@ -95,8 +94,8 @@ pub mod prelude {
     pub use polyhedra::{Aff, BasicSet, Constraint, Set};
     pub use scop::{parse_scop, ElaborateOptions, Scop};
     pub use simulate::{
-        simulate, simulate_hierarchy, simulate_memory, simulate_single, MemorySystem,
-        MultiLevelSystem, SimulationResult, SingleCacheSystem, TwoLevelSystem,
+        simulate, simulate_memory, simulate_reference, MemorySystem, MultiLevelSystem,
+        SimulationResult,
     };
     pub use trace_sim::{dinero_style_simulation, generate_trace, HardwareReference};
     pub use warping::{WarpingMemory, WarpingOptions, WarpingOutcome, WarpingSimulator};

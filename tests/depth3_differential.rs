@@ -140,16 +140,25 @@ fn trace_replay_matches_classic_at_depth_3() {
 }
 
 #[test]
-fn legacy_result_accessors_agree_with_levels() {
+fn jacobi_2d_backends_match_the_reference_walk_at_depth_3() {
+    // The CI grid's geometry (1K/4-way, 8K/8-way, 64K/16-way) under LRU and
+    // PLRU: every exact simulating backend must reproduce the per-access
+    // reference walk of Algorithm 1, not merely agree with another backend.
     let engine = Engine::new();
-    let spec = KernelSpec::polybench(Kernel::Jacobi1d, Dataset::Mini);
-    let report = engine
-        .run(&SimRequest::new(
-            spec,
-            three_level(ReplacementPolicy::Qlru),
-            Backend::Classic,
-        ))
-        .unwrap();
-    assert_eq!(report.result.l1(), report.result.levels[0]);
-    assert_eq!(report.result.l2(), Some(report.result.levels[1]));
+    let scop = Kernel::Jacobi2d
+        .build(Dataset::Mini)
+        .expect("kernel builds");
+    let spec = KernelSpec::prebuilt(Kernel::Jacobi2d.name(), scop.clone());
+    for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Plru] {
+        let memory = three_level(policy);
+        let reference = simulate_reference(&scop, &mut MultiLevelSystem::new(memory.clone()));
+        assert_eq!(reference.depth(), 3);
+        for backend in [Backend::Classic, Backend::warping(), Backend::Trace] {
+            let report = engine
+                .run(&SimRequest::new(spec.clone(), memory.clone(), backend))
+                .expect("depth-3 request");
+            assert_eq!(report.result, reference, "{backend} {policy}");
+            assert_eq!(report.levels, reference.levels, "{backend} {policy}");
+        }
+    }
 }

@@ -1,12 +1,11 @@
-//! Differential test of the `Engine` facade against the legacy entry
-//! points: routing a request through `Engine::run` must not change a single
+//! Differential test of the `Engine` facade against the simulators it
+//! wraps: routing a request through `Engine::run` must not change a single
 //! counter.
 //!
-//! * `Backend::Classic` must reproduce `simulate_single` /
-//!   `simulate_hierarchy` byte for byte, and
-//! * `Backend::Warping` must reproduce `WarpingSimulator::single(..).run` /
-//!   `WarpingSimulator::hierarchy(..).run` byte for byte (including the
-//!   warp counters),
+//! * `Backend::Classic` must reproduce `simulate_reference` (the
+//!   per-access reference walk) byte for byte, and
+//! * `Backend::Warping` must reproduce `WarpingSimulator::run` byte for
+//!   byte (including the warp counters),
 //!
 //! across all four replacement policies, one- and two-level memory systems
 //! and several PolyBench kernels.  A batched grid must return exactly the
@@ -22,8 +21,8 @@ fn l1(policy: ReplacementPolicy) -> CacheConfig {
     CacheConfig::new(32 * 1024, 8, 64, policy)
 }
 
-fn hierarchy(policy: ReplacementPolicy) -> HierarchyConfig {
-    HierarchyConfig::new(l1(policy), CacheConfig::new(256 * 1024, 8, 64, policy))
+fn hierarchy(policy: ReplacementPolicy) -> MemoryConfig {
+    MemoryConfig::two_level(l1(policy), CacheConfig::new(256 * 1024, 8, 64, policy))
 }
 
 #[test]
@@ -38,7 +37,7 @@ fn classic_backend_equals_legacy_simulation() {
                 .expect("classic single-level request");
             assert_eq!(
                 single.result,
-                simulate_single(&scop, &l1(policy)),
+                simulate_reference(&scop, &mut MultiLevelSystem::new(l1(policy).into())),
                 "{kernel:?} {policy}"
             );
 
@@ -51,7 +50,7 @@ fn classic_backend_equals_legacy_simulation() {
                 .expect("classic two-level request");
             assert_eq!(
                 two_level.result,
-                simulate_hierarchy(&scop, &hierarchy(policy)),
+                simulate_reference(&scop, &mut MultiLevelSystem::new(hierarchy(policy))),
                 "{kernel:?} {policy}"
             );
         }
@@ -72,12 +71,12 @@ fn warping_backend_equals_legacy_simulator() {
                     Backend::warping(),
                 ))
                 .expect("warping single-level request");
-            let legacy = WarpingSimulator::single(l1(policy)).run(&scop);
-            assert_eq!(single.result, legacy.result, "{kernel:?} {policy}");
+            let direct = WarpingSimulator::new(MemoryConfig::from(l1(policy))).run(&scop);
+            assert_eq!(single.result, direct.result, "{kernel:?} {policy}");
             let stats = single.warping.expect("warp stats");
-            assert_eq!(stats.warps, legacy.warps, "{kernel:?} {policy}");
-            assert_eq!(stats.warped_accesses, legacy.warped_accesses);
-            assert_eq!(stats.non_warped_accesses, legacy.non_warped_accesses);
+            assert_eq!(stats.warps, direct.warps, "{kernel:?} {policy}");
+            assert_eq!(stats.warped_accesses, direct.warped_accesses);
+            assert_eq!(stats.non_warped_accesses, direct.non_warped_accesses);
 
             let two_level = engine
                 .run(&SimRequest::new(
@@ -86,8 +85,8 @@ fn warping_backend_equals_legacy_simulator() {
                     Backend::warping(),
                 ))
                 .expect("warping two-level request");
-            let legacy = WarpingSimulator::hierarchy(hierarchy(policy)).run(&scop);
-            assert_eq!(two_level.result, legacy.result, "{kernel:?} {policy}");
+            let direct = WarpingSimulator::new(hierarchy(policy)).run(&scop);
+            assert_eq!(two_level.result, direct.result, "{kernel:?} {policy}");
         }
     }
 }
@@ -124,7 +123,7 @@ fn batched_grid_equals_sequential_runs() {
         .collect();
     let memories = [
         MemoryConfig::from(l1(ReplacementPolicy::Plru)),
-        MemoryConfig::from(hierarchy(ReplacementPolicy::Lru)),
+        hierarchy(ReplacementPolicy::Lru),
     ];
     let backends = [Backend::Classic, Backend::warping()];
     let grid = SimRequest::grid(&kernels, &memories, &backends);
