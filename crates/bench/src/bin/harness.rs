@@ -1259,10 +1259,11 @@ fn validate_point(request: &SimRequest) -> Result<(), String> {
         .map_err(|e| format!("binding rejected: {e}"))?;
     // Rectangular instances answer in closed form from the compiled
     // kernel; only irregular domains pay for the walking probe.
-    let nonempty = scop::compile(&scop)
+    let compiled = scop::compile(&scop);
+    let nonempty = compiled
         .static_access_count()
         .map(|total| total > 0)
-        .unwrap_or_else(|| scop::exceeds_access_count(&scop, 0));
+        .unwrap_or_else(|| compiled.exceeds_access_count(0));
     if nonempty {
         Ok(())
     } else {

@@ -53,6 +53,6 @@ mod set;
 pub use block::{Access, AccessKind, MemBlock};
 pub use cache::{CacheConfig, CacheState, LevelStats};
 pub use memory::{MemoryConfig, MemoryConfigError, WritePolicy};
-pub use multilevel::{LookupOutcome, MultiLevelState, StateSnapshot};
+pub use multilevel::{LookupOutcome, MultiLevelState};
 pub use policy::{PolicyState, ReplacementPolicy};
 pub use set::SetState;

@@ -149,31 +149,6 @@ impl MultiLevelState<MemBlock> {
         )
     }
 
-    /// Performs an access like [`MultiLevelState::access`] and additionally
-    /// stamps `stamp` into the epoch of every level whose payload (or
-    /// replacement-policy state) was written: under an allocating walk all
-    /// consulted levels are written (filled on a miss, promoted on a hit);
-    /// under no-write-allocate only a hitting level advances.  Levels the
-    /// access never reached keep their previous epoch, so a snapshot can
-    /// later tell live levels from frozen ones.
-    pub fn access_stamped(
-        &mut self,
-        config: &MemoryConfig,
-        access: Access,
-        stamp: i64,
-    ) -> LookupOutcome {
-        let fill = access.kind != AccessKind::Write || config.write_policy().allocates_on_write();
-        let outcome = self.access(config, access);
-        if fill {
-            for level in self.levels.iter_mut().take(outcome.levels_consulted) {
-                level.stamp_epoch(&[stamp]);
-            }
-        } else if outcome.hit {
-            self.levels[outcome.levels_consulted - 1].stamp_epoch(&[stamp]);
-        }
-        outcome
-    }
-
     /// Performs a run of `count` accesses starting at `base` with a
     /// constant byte `stride`, recording per-level counters into `stats`
     /// (`stats[i]` is level `i`).
@@ -204,11 +179,15 @@ impl MultiLevelState<MemBlock> {
     }
 
     /// The epoch-stamping counterpart of [`MultiLevelState::access_run`]:
-    /// every performed access stamps like
-    /// [`MultiLevelState::access_stamped`].  A run carries one stamp, so
-    /// the collapsed replays (which would re-stamp the same value) are
-    /// idempotent and the resulting epochs are bit-identical to the
-    /// unbatched walk.
+    /// every performed access also stamps `stamp` into the epoch of every
+    /// level whose payload (or replacement-policy state) it wrote.  Under
+    /// an allocating walk all consulted levels are written (filled on a
+    /// miss, promoted on a hit); under no-write-allocate only a hitting
+    /// level advances.  Levels the access never reached keep their
+    /// previous epoch, so an interval sampler can tell live levels from
+    /// frozen ones.  A run carries one stamp, so the collapsed replays
+    /// (which would re-stamp the same value) are idempotent and the
+    /// resulting epochs are bit-identical to the unbatched walk.
     #[allow(clippy::too_many_arguments)]
     pub fn access_run_stamped(
         &mut self,
@@ -290,66 +269,6 @@ impl MultiLevelState<MemBlock> {
     }
 }
 
-/// An epoch-aware snapshot of a [`MultiLevelState`].
-///
-/// A snapshot captures the full hierarchy state plus, per level, the epoch
-/// stamp of the last payload write (as maintained by
-/// [`MultiLevelState::access_stamped`]).  Interval samplers use the epochs
-/// to decide, on resumption, which levels are *live* (written recently
-/// enough that skipping ahead leaves them wrong — they need a warm-up
-/// prefix) and which are *stale* (untouched since before the skipped
-/// region — safe to carry forward unchanged, exactly the frozen-level
-/// argument of relative-label addressing).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct StateSnapshot<B> {
-    levels: Vec<CacheState<B>>,
-}
-
-impl<B: Clone> StateSnapshot<B> {
-    /// Captures the current state of `state`, epochs included.
-    pub fn capture(state: &MultiLevelState<B>) -> Self {
-        StateSnapshot {
-            levels: state.levels.clone(),
-        }
-    }
-
-    /// Number of captured levels.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// The scalar epoch of level `idx`: the stamp of its last payload
-    /// write, or `i64::MIN` if the level was never stamped.
-    pub fn level_epoch(&self, idx: usize) -> i64 {
-        self.levels[idx]
-            .epoch()
-            .first()
-            .copied()
-            .unwrap_or(i64::MIN)
-    }
-
-    /// Indices of levels whose last payload write predates `horizon` —
-    /// the levels provably unaffected by anything that happened at or
-    /// after that stamp.
-    pub fn stale_levels(&self, horizon: i64) -> Vec<usize> {
-        (0..self.levels.len())
-            .filter(|&idx| self.level_epoch(idx) < horizon)
-            .collect()
-    }
-
-    /// Whether every captured level is stale relative to `horizon`.
-    pub fn all_stale(&self, horizon: i64) -> bool {
-        self.stale_levels(horizon).len() == self.levels.len()
-    }
-
-    /// Reconstructs a [`MultiLevelState`] from the snapshot.
-    pub fn restore(&self) -> MultiLevelState<B> {
-        MultiLevelState {
-            levels: self.levels.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,56 +325,48 @@ mod tests {
         assert!(!read.hit, "nothing was allocated anywhere");
     }
 
+    /// One stamped access: a run of count 1.
+    fn stamped(state: &mut MultiLevelState<MemBlock>, config: &MemoryConfig, a: Access, t: i64) {
+        let mut stats = vec![LevelStats::default(); config.depth()];
+        state.access_run_stamped(config, a.address, 0, 1, a.kind, t, &mut stats);
+    }
+
+    fn epoch(state: &MultiLevelState<MemBlock>, idx: usize) -> i64 {
+        state
+            .level(idx)
+            .epoch()
+            .first()
+            .copied()
+            .unwrap_or(i64::MIN)
+    }
+
     #[test]
     fn access_stamped_marks_only_written_levels() {
         let config = tiny_three_level();
         let mut state = MultiLevelState::new(&config);
         // A cold miss consults (and fills) every level: all stamped.
-        state.access_stamped(&config, Access::read(0), 7);
-        let snap = StateSnapshot::capture(&state);
-        assert_eq!(snap.level_epoch(0), 7);
-        assert_eq!(snap.level_epoch(1), 7);
-        assert_eq!(snap.level_epoch(2), 7);
+        stamped(&mut state, &config, Access::read(0), 7);
+        assert_eq!(epoch(&state, 0), 7);
+        assert_eq!(epoch(&state, 1), 7);
+        assert_eq!(epoch(&state, 2), 7);
         // An L1 hit touches only the L1: outer levels keep their stamp.
-        state.access_stamped(&config, Access::read(0), 9);
-        let snap = StateSnapshot::capture(&state);
-        assert_eq!(snap.level_epoch(0), 9);
-        assert_eq!(snap.level_epoch(1), 7);
-        assert_eq!(snap.stale_levels(8), vec![1, 2]);
-        assert!(!snap.all_stale(8));
-        assert!(snap.all_stale(10));
+        stamped(&mut state, &config, Access::read(0), 9);
+        assert_eq!(epoch(&state, 0), 9);
+        assert_eq!(epoch(&state, 1), 7);
+        assert_eq!(epoch(&state, 2), 7);
     }
 
     #[test]
     fn no_write_allocate_miss_stamps_nothing() {
         let config = tiny_three_level().with_write_policy(WritePolicy::WriteThroughNoAllocate);
         let mut state = MultiLevelState::new(&config);
-        state.access_stamped(&config, Access::write(0), 3);
-        let snap = StateSnapshot::capture(&state);
-        assert_eq!(snap.level_epoch(0), i64::MIN, "nothing was written");
+        stamped(&mut state, &config, Access::write(0), 3);
+        assert_eq!(epoch(&state, 0), i64::MIN, "nothing was written");
         // After a read allocates, a write hit stamps the hitting level only.
-        state.access_stamped(&config, Access::read(0), 4);
-        state.access_stamped(&config, Access::write(0), 5);
-        let snap = StateSnapshot::capture(&state);
-        assert_eq!(snap.level_epoch(0), 5);
-        assert_eq!(snap.level_epoch(1), 4);
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips() {
-        let config = tiny_three_level();
-        let mut state = MultiLevelState::new(&config);
-        for b in [0u64, 2, 4, 0, 6] {
-            state.access_stamped(&config, Access::read(b * 64), b as i64);
-        }
-        let snap = StateSnapshot::capture(&state);
-        let restored = snap.restore();
-        assert_eq!(restored, state);
-        // The restored copy diverges independently of the original.
-        let mut forked = snap.restore();
-        forked.access_block(&config, MemBlock(99));
-        assert_ne!(forked, state);
-        assert_eq!(snap.restore(), state, "snapshot itself is unchanged");
+        stamped(&mut state, &config, Access::read(0), 4);
+        stamped(&mut state, &config, Access::write(0), 5);
+        assert_eq!(epoch(&state, 0), 5);
+        assert_eq!(epoch(&state, 1), 4);
     }
 
     #[test]
@@ -502,9 +413,15 @@ mod tests {
                     );
                     for k in 0..count {
                         let address = (base as i64 + k as i64 * stride) as u64;
-                        unbatched
-                            .access_stamped(&config, Access { address, kind }, 7)
-                            .record_into(&mut unbatched_stats);
+                        unbatched.access_run_stamped(
+                            &config,
+                            address,
+                            0,
+                            1,
+                            kind,
+                            7,
+                            &mut unbatched_stats,
+                        );
                     }
                 }
                 assert_eq!(batched, unbatched, "{policy:?} {write_policy:?}");

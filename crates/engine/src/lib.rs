@@ -195,10 +195,9 @@ impl Engine {
     /// reports the unified outcome.
     ///
     /// The engine's thread budget ([`Engine::with_threads`]) is granted to
-    /// the backend: a warping request with
-    /// [`WarpingOptions::parallel_warp`](warping::WarpingOptions) enabled
-    /// applies warps across levels (and across sets within large levels) in
-    /// parallel.  Results are bit-identical for every budget.
+    /// the backend: a warping request applies warps across levels (and
+    /// across sets within large levels) in parallel over it.  Results are
+    /// bit-identical for every budget.
     ///
     /// # Errors
     ///
@@ -441,9 +440,8 @@ impl Engine {
     ///
     /// The thread budget is shared with the backends' own parallelism:
     /// batch-level fan-out takes precedence, so when several requests run
-    /// concurrently each of them applies warps sequentially
-    /// (`parallel_warp` stays dormant rather than oversubscribing the
-    /// machine).  A batch that collapses to the sequential path — fewer
+    /// concurrently each of them applies warps sequentially (a thread
+    /// budget of 1) rather than oversubscribing the machine.  A batch that collapses to the sequential path — fewer
     /// than two requests, or an engine with one thread — grants each
     /// request the full budget, exactly like [`Engine::run`].  Either way
     /// the reported counts are bit-identical.

@@ -45,10 +45,8 @@
 //! How much warm-up is needed depends on how much of the hierarchy is
 //! *live*: before each resumption the sampler reads every level's epoch
 //! (the stamp of its last payload write, maintained by
-//! [`MultiLevelState::access_stamped`] — the same signal
-//! [`StateSnapshot::stale_levels`] exposes on a captured snapshot) and
-//! counts the levels whose epoch reaches back into the last measured
-//! interval.
+//! [`MultiLevelState::access_run_stamped`]) and counts the levels whose
+//! epoch reaches back into the last measured interval.
 //! Levels untouched since before it are frozen — the relative-label
 //! argument of the warping pipeline says carrying them forward is safe —
 //! so the warm-up width is `warmup × live_levels`, clamped to the gap:
@@ -88,9 +86,10 @@
 //! reproduces the classic backend bit-for-bit.
 
 use crate::report::ApproxStats;
-use cache_model::{LevelStats, MemBlock, MemoryConfig, MultiLevelState, StateSnapshot};
+use cache_model::{LevelStats, MemBlock, MemoryConfig, MultiLevelState};
 use scop::{
-    compile, for_each_run_at, CompiledLoop, CompiledNode, LoopNode, Node, Scop, WalkScratch,
+    compile, for_each_run_at, walk_at, AccessRun, CompiledLoop, CompiledNode, Scop, WalkScratch,
+    WalkVisitor,
 };
 use simulate::{simulate, MultiLevelSystem, SimulationResult};
 use warping::fingerprint::concrete_fingerprint;
@@ -315,10 +314,13 @@ pub(crate) fn run_sampled_with(
         measured_cal: None,
         scratch,
     };
-    for (root, croot) in scop.roots().iter().zip(compiled.roots()) {
-        match (root, croot) {
-            (Node::Loop(l), CompiledNode::Loop(cl)) => sampler.run_loop(l, cl),
-            (_, access) => sampler.run_node_exact(access),
+    for root in compiled.roots() {
+        match root {
+            CompiledNode::Loop(cl) => {
+                let iters = outer_values(root, &mut sampler.scratch);
+                sampler.run_loop(cl, iters);
+            }
+            access => sampler.run_node_exact(access),
         }
     }
     sampler.finish()
@@ -336,7 +338,7 @@ struct Sampler<'a> {
     /// Accumulated per-level miss-count error bounds.
     bounds: Vec<u64>,
     /// Monotonic outer-iteration stamp, shared across roots, fed to
-    /// [`MultiLevelState::access_stamped`] as the epoch.
+    /// [`MultiLevelState::access_run_stamped`] as the epoch.
     clock: i64,
     /// Dynamic accesses actually walked (counted or warm-up).
     simulated: u64,
@@ -361,10 +363,7 @@ impl<'a> Sampler<'a> {
     }
 
     /// Levels whose last payload write reaches `horizon` or later — the
-    /// re-convergence set of a resumption.  The in-place equivalent of
-    /// [`StateSnapshot::stale_levels`]: reading the epochs directly keeps
-    /// the per-gap check free of the two full-state clones a
-    /// capture/restore round trip would cost.
+    /// re-convergence set of a resumption, read from the epochs in place.
     fn live_levels(&self, horizon: i64) -> usize {
         self.state
             .levels()
@@ -388,14 +387,15 @@ impl<'a> Sampler<'a> {
         self.clock += 1;
     }
 
-    /// Simulates outer iterations `range` of `l` (stamped with their
-    /// absolute iteration numbers `base + idx`) and returns the local
-    /// per-level counts.  When `counted`, they are also merged into the
-    /// totals; a warm-up pass discards them.
+    /// Simulates outer iterations `range` of `cl` (its iterator values
+    /// `iters[range]`, stamped with their absolute iteration numbers
+    /// `base + idx`) and returns the local per-level counts.  When
+    /// `counted`, they are also merged into the totals; a warm-up pass
+    /// discards them.
     fn run_iters(
         &mut self,
         cl: &CompiledLoop,
-        iters: &OuterIters,
+        iters: &[i64],
         base: i64,
         range: std::ops::Range<usize>,
         counted: bool,
@@ -405,11 +405,9 @@ impl<'a> Sampler<'a> {
         for idx in range {
             let stamp = base + idx as i64;
             let state = &mut self.state;
-            // The loop's compiled children mirror its source children one
-            // to one, so the run stream covers the same accesses in the
-            // same order, batched by cache line.
+            let outer = std::slice::from_ref(&iters[idx]);
             for child in cl.children() {
-                self.simulated += for_each_run_at(child, iters.at(idx), &mut self.scratch, |run| {
+                self.simulated += for_each_run_at(child, outer, &mut self.scratch, |run| {
                     state.access_run_stamped(
                         config, run.base, run.stride, run.count, run.kind, stamp, &mut local,
                     );
@@ -446,7 +444,7 @@ impl<'a> Sampler<'a> {
     fn trace_prefix(
         &mut self,
         cl: &CompiledLoop,
-        iters: &OuterIters,
+        iters: &[i64],
         base: i64,
         range: std::ops::Range<usize>,
         trace: &mut Vec<u64>,
@@ -462,10 +460,10 @@ impl<'a> Sampler<'a> {
         }
     }
 
-    /// Samples one top-level loop (or simulates it exactly when it is too
-    /// small for sampling to pay off).  `cl` is the loop's compiled twin.
-    fn run_loop(&mut self, l: &LoopNode, cl: &CompiledLoop) {
-        let iters = outer_iterations(l);
+    /// Samples one top-level loop, whose iterations run over the iterator
+    /// values `iters` (or simulates it exactly when it is too small for
+    /// sampling to pay off).
+    fn run_loop(&mut self, cl: &CompiledLoop, iters: Vec<i64>) {
         let total = iters.len();
         let base = self.clock;
         self.clock = base + total as i64;
@@ -664,7 +662,7 @@ impl<'a> Sampler<'a> {
                 // bound tightness.
                 let last = (si + 1).min(schedule.len() - 1);
                 let region_start = prev_end;
-                let rewind = StateSnapshot::capture(&self.state);
+                let rewind = self.state.clone();
                 let mut shadow = vec![LevelStats::default(); depth];
                 let mut left = measured
                     .last()
@@ -692,7 +690,7 @@ impl<'a> Sampler<'a> {
                     left = probe;
                     sprev_end = sj + 1;
                 }
-                self.state = rewind.restore();
+                self.state = rewind;
                 let mut truth = vec![LevelStats::default(); depth];
                 for &tj in &schedule[si..=last] {
                     let tgap = tj - prev_end;
@@ -946,66 +944,29 @@ fn merge(into: &mut [LevelStats], from: &[LevelStats]) {
     }
 }
 
-/// The outer iteration vectors of a top-level loop, in execution order,
-/// stored flat.  A multi-million-iteration loop materialised as
-/// `Vec<Vec<i64>>` would spend more time allocating than the sampled
-/// simulation itself; one flat buffer keeps enumeration a single
-/// allocation.
-struct OuterIters {
-    flat: Vec<i64>,
-    dims: usize,
+/// Collects the iterator values of a top-level loop's iterations, in
+/// execution order: the compiled walk offers every iteration head, and
+/// the collector records it and skips it, so no body runs.
+struct OuterValues(Vec<i64>);
+
+impl WalkVisitor for OuterValues {
+    const RUNS: bool = false;
+
+    fn run(&mut self, _run: &AccessRun, _iv: &[i64]) {}
+
+    fn head(&mut self, l: &CompiledLoop, iv: &[i64], _index: u64) -> u64 {
+        if l.contains(iv) {
+            self.0.push(iv[0]);
+        }
+        1
+    }
 }
 
-impl OuterIters {
-    fn len(&self) -> usize {
-        self.flat.len().checked_div(self.dims).unwrap_or(0)
-    }
-
-    fn at(&self, idx: usize) -> &[i64] {
-        &self.flat[idx * self.dims..(idx + 1) * self.dims]
-    }
-}
-
-/// Collects the outer iteration vectors of a top-level loop, in execution
-/// order, honouring stride direction and the loop's own guard — the same
-/// enumeration `scop::walk` performs.
-fn outer_iterations(l: &LoopNode) -> OuterIters {
-    let mut iters = OuterIters {
-        flat: Vec::new(),
-        dims: 0,
-    };
-    if l.stride < 0 {
-        let Some(mut i) = l.last(&[]) else {
-            return iters;
-        };
-        let Some(lowest) = l.initial(&[]) else {
-            return iters;
-        };
-        iters.dims = i.len();
-        while i.as_slice() >= lowest.as_slice() {
-            if l.domain.contains(&i) {
-                iters.flat.extend_from_slice(&i);
-            }
-            *i.last_mut()
-                .expect("loop domains have at least one dimension") += l.stride;
-        }
-        return iters;
-    }
-    let Some(mut i) = l.initial(&[]) else {
-        return iters;
-    };
-    let Some(last) = l.last(&[]) else {
-        return iters;
-    };
-    iters.dims = i.len();
-    while i.as_slice() <= last.as_slice() {
-        if l.domain.contains(&i) {
-            iters.flat.extend_from_slice(&i);
-        }
-        *i.last_mut()
-            .expect("loop domains have at least one dimension") += l.stride;
-    }
-    iters
+/// The iterator values of the top-level loop `root`, in execution order.
+fn outer_values(root: &CompiledNode, scratch: &mut WalkScratch) -> Vec<i64> {
+    let mut values = OuterValues(Vec::new());
+    walk_at(root, &[], scratch, &mut values);
+    values.0
 }
 
 /// Whether the trace is `p`-periodic beyond its first (coldest)

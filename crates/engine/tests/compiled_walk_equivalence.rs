@@ -12,12 +12,16 @@
 //!     reported bound.
 //!
 //! `simulate::simulate_reference` on a fresh `MultiLevelSystem` — the
-//! literal per-access walk of Algorithm 1 — is the oracle.
+//! literal per-access walk of Algorithm 1 — is the oracle.  The walk's
+//! loop hooks are pinned the same way: the iteration heads a visitor sees
+//! are the reference walk's loop iterations, in order.
 
 use cache_model::{AccessKind, CacheConfig, MemoryConfig, ReplacementPolicy};
 use engine::{Backend, Engine, KernelSpec, SimRequest};
 use proptest::prelude::*;
+use scop::{AccessRun, CompiledLoop, Node, WalkVisitor};
 use simulate::{simulate_reference, MultiLevelSystem};
+use std::time::{Duration, Instant};
 
 /// The kernel shapes under test; each is stamped out from the same small
 /// parameter tuple so shrinking stays meaningful.
@@ -120,6 +124,142 @@ fn exact_backends() -> Vec<Backend> {
     vec![Backend::Classic, Backend::warping(), Backend::Trace]
 }
 
+/// Runs every simulating backend on `spec` and checks it against the
+/// reference walk: the exact backends bit for bit, sampled within its
+/// reported bounds.  `case` names the input in failure messages.
+fn check_backends(spec: &KernelSpec, memory: &MemoryConfig, case: &str) {
+    let engine = Engine::new().with_threads(1);
+    let scop = spec.build().expect("kernel builds");
+    let reference = simulate_reference(&scop, &mut MultiLevelSystem::new(memory.clone()));
+    for backend in exact_backends() {
+        let request = SimRequest::new(spec.clone(), memory.clone(), backend);
+        let report = engine.run(&request).expect("backend runs");
+        assert_eq!(
+            &report.result, &reference,
+            "{case} backend={}",
+            request.backend
+        );
+        assert_eq!(&report.levels, &reference.levels, "{case}");
+    }
+    let request = SimRequest::new(
+        spec.clone(),
+        memory.clone(),
+        Backend::Sampled(engine::SamplingOptions::DEFAULT),
+    );
+    let sampled = engine.run(&request).expect("sampled runs");
+    assert_eq!(sampled.result.accesses, reference.accesses, "{case}");
+    let approx = sampled.approx.expect("sampled reports its bounds");
+    for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
+        let err = sampled.result.levels[level]
+            .misses
+            .abs_diff(reference.levels[level].misses);
+        assert!(
+            err <= *bound,
+            "{case} level {level}: error {err} > bound {bound}"
+        );
+    }
+}
+
+/// Records the iteration heads the compiled walk offers, as
+/// `(loop depth, iteration vector)`, keeping the points in the loop's
+/// domain (a loop that did not compile exactly offers every grid point).
+#[derive(Default)]
+struct Heads(Vec<(usize, Vec<i64>)>);
+
+impl WalkVisitor for Heads {
+    const RUNS: bool = false;
+
+    fn run(&mut self, _run: &AccessRun, _iv: &[i64]) {}
+
+    fn head(&mut self, l: &CompiledLoop, iv: &[i64], _index: u64) -> u64 {
+        if l.contains(iv) {
+            self.0.push((l.depth, iv.to_vec()));
+        }
+        0
+    }
+}
+
+/// The reference walk's loop iterations below `node`, in execution order:
+/// Algorithm 1's enumeration (grid anchored at the lexmin, or the lexmax
+/// for decreasing loops; every point checked against the domain).
+fn reference_heads(node: &Node, outer: &[i64], out: &mut Vec<(usize, Vec<i64>)>) {
+    let Node::Loop(l) = node else {
+        return;
+    };
+    let (Some(lo), Some(hi)) = (l.initial(outer), l.last(outer)) else {
+        return;
+    };
+    let d = l.depth - 1;
+    let (mut v, end) = if l.stride > 0 {
+        (lo[d], hi[d])
+    } else {
+        (hi[d], lo[d])
+    };
+    let mut iv = outer.to_vec();
+    iv.push(v);
+    while (l.stride > 0 && v <= end) || (l.stride < 0 && v >= end) {
+        iv[d] = v;
+        if l.domain.contains(&iv) {
+            out.push((l.depth, iv.clone()));
+            for child in &l.children {
+                reference_heads(child, &iv, out);
+            }
+        }
+        v += l.stride;
+    }
+}
+
+#[test]
+fn empty_domain_loops_match_the_reference_walk() {
+    // An empty bound interval, and a loop under a constant-false guard,
+    // whose domain keeps no conjunction and so compiles to dynamic bounds
+    // (no PolyBench kernel reaches that path).  The non-empty nest gives
+    // the backends something to count.
+    let spec = KernelSpec::source(
+        "empty",
+        "double A[64]; double B[64];\n\
+         for (i = 5; i < 3; i++) A[i] = A[i];\n\
+         for (t = 0; t < 8; t++) {\n\
+           if (3 > 5) for (k = 0; k < 64; k++) A[k] = B[k];\n\
+           for (j = 0; j < 64; j++) B[j] = A[j] + B[j];\n\
+         }",
+    );
+    for depth in [2, 3] {
+        check_backends(
+            &spec,
+            &memory(depth, ReplacementPolicy::Lru),
+            &format!("empty depth={depth}"),
+        );
+    }
+    let scop = spec.build().expect("kernel builds");
+    let compiled = scop::compile(&scop);
+    let mut heads = Heads::default();
+    compiled.walk(&mut compiled.new_scratch(), &mut heads);
+    assert_eq!(heads.0.len(), 8 + 8 * 64, "the empty loop offers no head");
+}
+
+#[test]
+fn capped_probe_stops_a_trillion_access_walk_at_once() {
+    // ~1.5e12 accesses over a triangular nest: no closed form, so the
+    // probe must walk, and it must stop as soon as the cap is passed.
+    let scop = KernelSpec::source(
+        "huge",
+        "double A[1000000];\n\
+         for (i = 0; i < 1000000; i++) for (j = 0; j <= i; j++) A[j] = A[j] + A[i];",
+    )
+    .build()
+    .expect("kernel builds");
+    let compiled = scop::compile(&scop);
+    assert_eq!(compiled.static_access_count(), None);
+    let start = Instant::now();
+    assert!(compiled.exceeds_access_count(1000));
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "the probe walked far past its cap: {:?}",
+        start.elapsed()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -146,6 +286,26 @@ proptest! {
         prop_assert_eq!(reference, lowered, "{:?} n={} step={} mult={}", shape, n, step, mult);
     }
 
+    /// The iteration heads the compiled walk offers are the reference
+    /// walk's loop iterations, in order.
+    #[test]
+    fn head_hook_follows_the_reference_loop_order(
+        shape in arb_shape(),
+        n in 4i64..48,
+        step in 1i64..4,
+        mult in 1i64..4,
+    ) {
+        let scop = kernel(shape, n, step, mult).build().expect("kernel builds");
+        let mut reference = Vec::new();
+        for root in scop.roots() {
+            reference_heads(root, &[], &mut reference);
+        }
+        let compiled = scop::compile(&scop);
+        let mut heads = Heads::default();
+        compiled.walk(&mut compiled.new_scratch(), &mut heads);
+        prop_assert_eq!(heads.0, reference, "{:?} n={} step={} mult={}", shape, n, step, mult);
+    }
+
     /// Every backend reproduces the reference walk's counts.
     #[test]
     fn every_backend_matches_the_reference_walk(
@@ -156,39 +316,10 @@ proptest! {
         depth in prop::sample::select(vec![2usize, 3]),
         policy in arb_policy(),
     ) {
-        let engine = Engine::new().with_threads(1);
-        let spec = kernel(shape, n, step, mult);
-        let scop = spec.build().expect("kernel builds");
-        let memory = memory(depth, policy);
-        let reference = simulate_reference(&scop, &mut MultiLevelSystem::new(memory.clone()));
-        for backend in exact_backends() {
-            let request = SimRequest::new(spec.clone(), memory.clone(), backend);
-            let report = engine.run(&request).expect("backend runs");
-            prop_assert_eq!(
-                &report.result,
-                &reference,
-                "{:?} n={} step={} mult={} depth={} policy={:?} backend={}",
-                shape, n, step, mult, depth, policy, request.backend
-            );
-            prop_assert_eq!(&report.levels, &reference.levels);
-        }
-        let request = SimRequest::new(
-            spec,
-            memory,
-            Backend::Sampled(engine::SamplingOptions::DEFAULT),
+        check_backends(
+            &kernel(shape, n, step, mult),
+            &memory(depth, policy),
+            &format!("{shape:?} n={n} step={step} mult={mult} depth={depth} policy={policy:?}"),
         );
-        let sampled = engine.run(&request).expect("sampled runs");
-        prop_assert_eq!(sampled.result.accesses, reference.accesses);
-        let approx = sampled.approx.expect("sampled reports its bounds");
-        for (level, bound) in approx.per_level_error_bound.iter().enumerate() {
-            let err = sampled.result.levels[level]
-                .misses
-                .abs_diff(reference.levels[level].misses);
-            prop_assert!(
-                err <= *bound,
-                "{:?} n={} step={} mult={} depth={} policy={:?} level {}: error {} > bound {}",
-                shape, n, step, mult, depth, policy, level, err, bound
-            );
-        }
     }
 }

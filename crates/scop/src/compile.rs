@@ -30,11 +30,25 @@
 //!   of `count` single accesses, letting the cache layer batch
 //!   same-line accesses (see `MultiLevelState::access_run`).
 //!
+//! # One walker, many consumers
+//!
+//! The walk drives a [`WalkVisitor`]: access runs arrive with their
+//! iteration vector, loop entries and exits with their first and last
+//! value, and every iteration head may skip `k` iterations, advancing
+//! the running bases by `k × stride × coeff` without visiting them.
+//! Every simulating backend walks through it — classic and trace via the
+//! closure adapters ([`CompiledScop::for_each_run`],
+//! [`CompiledScop::for_each_access`], [`for_each_run_at`]), warping with
+//! its match attempts at iteration heads and warps as skips, the sampler
+//! by collecting top-level iteration values, and the access-budget probe
+//! ([`CompiledScop::exceeds_access_count`]) by skipping everything once
+//! its cap is passed.
+//!
 //! The compiled walk produces the *identical* access stream (node,
 //! address, kind, order) as the reference walk; the
 //! `compiled_walk_equivalence` suite in the engine crate asserts this
-//! over random kernels, and the reference walk remains available as the
-//! differential oracle.
+//! over random kernels.  The reference walk is that suite's oracle and
+//! nothing else.
 //!
 //! [`Aff`]: polyhedra::Aff
 
@@ -93,19 +107,6 @@ enum GuardPlan {
     Dynamic(Set),
 }
 
-/// The exact bound interval of one loop entry, when derivable.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EntryBounds {
-    /// The loop runs over the inclusive interval `[lo, hi]` on its
-    /// stride grid; every grid point is in the domain.
-    Exact(i64, i64),
-    /// The entry is exactly empty: skip it.
-    Empty,
-    /// The domain did not compile exactly; derive bounds the reference
-    /// way (lexmin/lexmax plus per-point membership).
-    Dynamic,
-}
-
 /// A compiled access node: strength-reduced address plus a guard plan.
 #[derive(Clone, Debug)]
 pub struct CompiledAccess {
@@ -123,12 +124,6 @@ pub struct CompiledAccess {
 }
 
 impl CompiledAccess {
-    /// Whether the guard was hoisted away entirely (membership implied
-    /// by enclosing exact loops).
-    pub fn guard_is_trivial(&self) -> bool {
-        matches!(self.guard, GuardPlan::Trivial)
-    }
-
     /// Whether the iteration vector `iv` (of length `depth`) satisfies
     /// the guard.
     fn guard_holds(&self, iv: &[i64]) -> bool {
@@ -143,6 +138,10 @@ impl CompiledAccess {
 /// A compiled loop node.
 #[derive(Clone, Debug)]
 pub struct CompiledLoop {
+    /// Preorder index of the loop among the SCoP's loops: the same for
+    /// every compilation of one SCoP, so per-loop state can outlive a
+    /// compiled tree.
+    pub id: usize,
     /// Nesting depth (1 = outermost).
     pub depth: usize,
     /// Iterator increment per iteration (non-zero; negative walks
@@ -166,21 +165,13 @@ impl CompiledLoop {
         &self.children
     }
 
-    /// Whether the loop's bounds compiled exactly (per-iteration
-    /// membership checks are redundant).
-    pub fn is_exact(&self) -> bool {
-        matches!(self.bounds, LoopBounds::Exact(_))
-    }
-
-    /// The bound interval of the entry with the given outer iteration
-    /// vector (length `depth - 1`).
-    pub fn entry_bounds(&self, outer: &[i64]) -> EntryBounds {
+    /// Whether the domain contains `iv`, a grid point the walk offers to
+    /// [`WalkVisitor::head`].  Always true when the bounds compiled
+    /// exactly; a union domain is checked point by point.
+    pub fn contains(&self, iv: &[i64]) -> bool {
         match &self.bounds {
-            LoopBounds::Exact(bs) => match bs.dim_bounds(self.depth - 1, outer) {
-                Some((Some(lo), Some(hi))) if lo <= hi => EntryBounds::Exact(lo, hi),
-                _ => EntryBounds::Empty,
-            },
-            LoopBounds::Dynamic(_) => EntryBounds::Dynamic,
+            LoopBounds::Exact(_) => true,
+            LoopBounds::Dynamic(set) => set.contains(iv),
         }
     }
 }
@@ -212,95 +203,95 @@ pub struct WalkScratch {
 pub struct CompiledScop {
     roots: Vec<CompiledNode>,
     num_slots: usize,
+    num_loops: usize,
     max_depth: usize,
 }
 
 /// Lowers a SCoP for the compiled walk.
 pub fn compile(scop: &Scop) -> CompiledScop {
-    let mut established: Vec<Constraint> = Vec::new();
-    let mut max_depth = 0;
-    let roots = scop
-        .roots()
-        .iter()
-        .map(|n| compile_node(n, &mut established, &mut max_depth))
-        .collect();
+    let mut lowering = Lowering::default();
+    let roots = scop.roots().iter().map(|n| lowering.node(n)).collect();
     CompiledScop {
         roots,
         num_slots: scop.num_access_nodes(),
-        max_depth,
+        num_loops: lowering.loops,
+        max_depth: lowering.max_depth,
     }
 }
 
-fn compile_node(
-    node: &Node,
-    established: &mut Vec<Constraint>,
-    max_depth: &mut usize,
-) -> CompiledNode {
-    match node {
-        Node::Access(a) => CompiledNode::Access(compile_access(a, established)),
-        Node::Loop(l) => CompiledNode::Loop(compile_loop(l, established, max_depth)),
-    }
+/// The state threaded through [`compile`]'s recursion.
+#[derive(Default)]
+struct Lowering {
+    /// Constraints of the enclosing exact loops.
+    established: Vec<Constraint>,
+    max_depth: usize,
+    /// Loops lowered so far (the next loop's preorder id).
+    loops: usize,
 }
 
-fn compile_access(a: &AccessNode, established: &[Constraint]) -> CompiledAccess {
-    let guard = match a.domain.basics() {
-        [bs] if bs
-            .constraints()
-            .iter()
-            .all(|c| established.iter().any(|e| same_constraint(e, c))) =>
-        {
-            GuardPlan::Trivial
+impl Lowering {
+    fn node(&mut self, node: &Node) -> CompiledNode {
+        match node {
+            Node::Access(a) => CompiledNode::Access(self.lower_access(a)),
+            Node::Loop(l) => CompiledNode::Loop(self.lower_loop(l)),
         }
-        [bs] => GuardPlan::Exact(bs.clone()),
-        _ => GuardPlan::Dynamic(a.domain.clone()),
-    };
-    CompiledAccess {
-        id: a.id,
-        depth: a.depth,
-        kind: a.kind,
-        coeffs: a.address.coeffs().to_vec(),
-        constant: a.address.constant_term(),
-        guard,
     }
-}
 
-fn compile_loop(
-    l: &LoopNode,
-    established: &mut Vec<Constraint>,
-    max_depth: &mut usize,
-) -> CompiledLoop {
-    *max_depth = (*max_depth).max(l.depth);
-    let (bounds, pushed) = match l.domain.basics() {
-        [bs] => {
-            let n = bs.constraints().len();
-            established.extend(bs.constraints().iter().cloned());
-            (LoopBounds::Exact(bs.clone()), n)
+    fn lower_access(&self, a: &AccessNode) -> CompiledAccess {
+        let guard = match a.domain.basics() {
+            [bs] if bs
+                .constraints()
+                .iter()
+                .all(|c| self.established.iter().any(|e| same_constraint(e, c))) =>
+            {
+                GuardPlan::Trivial
+            }
+            [bs] => GuardPlan::Exact(bs.clone()),
+            _ => GuardPlan::Dynamic(a.domain.clone()),
+        };
+        CompiledAccess {
+            id: a.id,
+            depth: a.depth,
+            kind: a.kind,
+            coeffs: a.address.coeffs().to_vec(),
+            constant: a.address.constant_term(),
+            guard,
         }
-        _ => (LoopBounds::Dynamic(l.domain.clone()), 0),
-    };
-    let children: Vec<CompiledNode> = l
-        .children
-        .iter()
-        .map(|c| compile_node(c, established, max_depth))
-        .collect();
-    established.truncate(established.len() - pushed);
-    let mut deltas = Vec::new();
-    for child in &children {
-        collect_deltas(child, l.depth - 1, &mut deltas);
     }
-    let run_body = matches!(bounds, LoopBounds::Exact(_))
-        && children.len() == 1
-        && matches!(
-            &children[0],
-            CompiledNode::Access(a) if !matches!(a.guard, GuardPlan::Dynamic(_))
-        );
-    CompiledLoop {
-        depth: l.depth,
-        stride: l.stride,
-        bounds,
-        deltas,
-        children,
-        run_body,
+
+    fn lower_loop(&mut self, l: &LoopNode) -> CompiledLoop {
+        let id = self.loops;
+        self.loops += 1;
+        self.max_depth = self.max_depth.max(l.depth);
+        let (bounds, pushed) = match l.domain.basics() {
+            [bs] => {
+                let n = bs.constraints().len();
+                self.established.extend(bs.constraints().iter().cloned());
+                (LoopBounds::Exact(bs.clone()), n)
+            }
+            _ => (LoopBounds::Dynamic(l.domain.clone()), 0),
+        };
+        let children: Vec<CompiledNode> = l.children.iter().map(|c| self.node(c)).collect();
+        self.established.truncate(self.established.len() - pushed);
+        let mut deltas = Vec::new();
+        for child in &children {
+            collect_deltas(child, l.depth - 1, &mut deltas);
+        }
+        let run_body = matches!(bounds, LoopBounds::Exact(_))
+            && children.len() == 1
+            && matches!(
+                &children[0],
+                CompiledNode::Access(a) if !matches!(a.guard, GuardPlan::Dynamic(_))
+            );
+        CompiledLoop {
+            id,
+            depth: l.depth,
+            stride: l.stride,
+            bounds,
+            deltas,
+            children,
+            run_body,
+        }
     }
 }
 
@@ -334,11 +325,99 @@ fn same_constraint(a: &Constraint, b: &Constraint) -> bool {
     (0..n).all(|i| x.get(i).copied().unwrap_or(0) == y.get(i).copied().unwrap_or(0))
 }
 
+/// A consumer of the compiled walk.
+///
+/// The walk drives one visitor through the SCoP in execution order.
+/// Every hook but [`WalkVisitor::run`] defaults to a no-op, so a plain
+/// access consumer only implements that one; the loop hooks let a
+/// consumer watch (and skip ahead in) the loop structure without a
+/// walker of its own.  With every hook inlined away the walk costs what
+/// a hand-written closure walk costs.
+pub trait WalkVisitor {
+    /// Whether an innermost loop whose body is a single access may emit
+    /// one [`AccessRun`] per entry.  Such entries call
+    /// [`WalkVisitor::enter`] and [`WalkVisitor::exit`] but no
+    /// [`WalkVisitor::head`]; with `RUNS = false` every run has count 1.
+    const RUNS: bool;
+
+    /// Called for every run of accesses, in execution order.  `iv` is the
+    /// iteration vector of the run's first access (its length is the
+    /// access depth).
+    fn run(&mut self, run: &AccessRun, iv: &[i64]);
+
+    /// Called when an entry of `l` with at least one grid point starts.
+    /// The entry's iterator starts at `first` and moves by `l.stride`
+    /// towards `last`, the far end of the entry's bound interval (the
+    /// last value when that lies on the stride grid).
+    fn enter(&mut self, _l: &CompiledLoop, _first: i64, _last: i64) {}
+
+    /// Called when the entry of `l` started by the matching
+    /// [`WalkVisitor::enter`] ends.
+    fn exit(&mut self, _l: &CompiledLoop) {}
+
+    /// Called at the head of every iteration of `l`, before its body —
+    /// for a loop that did not compile exactly, at every grid point,
+    /// before the point's membership check.  `iv` ends with the current
+    /// iterator value, and `index` counts grid points since the entry's
+    /// first value.  Returning `k > 0` skips `k` iterations unvisited:
+    /// the iterator and the strength-reduced base addresses advance by
+    /// `k` strides and the head is called again there, or the entry ends
+    /// if that is past its last grid point.
+    fn head(&mut self, _l: &CompiledLoop, _iv: &[i64], _index: u64) -> u64 {
+        0
+    }
+}
+
+/// The closure adapter behind [`CompiledScop::for_each_run`] and
+/// [`for_each_run_at`]: batched runs, access count kept alongside.
+struct RunVisitor<F> {
+    visit: F,
+    count: u64,
+}
+
+impl<F: FnMut(&AccessRun)> WalkVisitor for RunVisitor<F> {
+    const RUNS: bool = true;
+
+    fn run(&mut self, run: &AccessRun, _iv: &[i64]) {
+        self.count += run.count;
+        (self.visit)(run);
+    }
+}
+
+/// Counts accesses and, once the count passes `cap`, skips every
+/// remaining iteration of every loop.
+struct CappedCount {
+    cap: u64,
+    count: u64,
+}
+
+impl WalkVisitor for CappedCount {
+    const RUNS: bool = true;
+
+    fn run(&mut self, run: &AccessRun, _iv: &[i64]) {
+        self.count = self.count.saturating_add(run.count);
+    }
+
+    fn head(&mut self, _l: &CompiledLoop, _iv: &[i64], _index: u64) -> u64 {
+        if self.count > self.cap {
+            u64::MAX
+        } else {
+            0
+        }
+    }
+}
+
 impl CompiledScop {
     /// The compiled top-level nodes, in execution order (mirrors
     /// [`Scop::roots`] one to one).
     pub fn roots(&self) -> &[CompiledNode] {
         &self.roots
+    }
+
+    /// The number of loops in the SCoP: every [`CompiledLoop::id`] is
+    /// below it.
+    pub fn num_loops(&self) -> usize {
+        self.num_loops
     }
 
     /// A scratch buffer sized for this SCoP.  Reuse it across walks to
@@ -352,20 +431,19 @@ impl CompiledScop {
         }
     }
 
+    /// Drives `visitor` through the whole SCoP in execution order.
+    pub fn walk<V: WalkVisitor>(&self, scratch: &mut WalkScratch, visitor: &mut V) {
+        for root in &self.roots {
+            walk_at(root, &[], scratch, visitor);
+        }
+    }
+
     /// Walks every access run of the SCoP in execution order.  Returns
     /// the number of dynamic accesses covered.
-    pub fn for_each_run(
-        &self,
-        scratch: &mut WalkScratch,
-        mut visit: impl FnMut(&AccessRun),
-    ) -> u64 {
-        let mut count = 0;
-        for root in &self.roots {
-            scratch.iv.clear();
-            init_bases(root, &[], &mut scratch.bases);
-            walk(root, scratch, &mut visit, &mut count);
-        }
-        count
+    pub fn for_each_run(&self, scratch: &mut WalkScratch, visit: impl FnMut(&AccessRun)) -> u64 {
+        let mut visitor = RunVisitor { visit, count: 0 };
+        self.walk(scratch, &mut visitor);
+        visitor.count
     }
 
     /// Walks every dynamic access (runs expanded) in execution order.
@@ -385,6 +463,18 @@ impl CompiledScop {
         })
     }
 
+    /// Whether the SCoP performs strictly more than `cap` dynamic
+    /// accesses.  The walk skips every remaining iteration once the
+    /// count passes `cap`, so probing a trillion-access kernel against a
+    /// small budget costs O(cap) instead of O(total).  Serving layers
+    /// use it to decide when to degrade a request to approximate
+    /// simulation.
+    pub fn exceeds_access_count(&self, cap: u64) -> bool {
+        let mut visitor = CappedCount { cap, count: 0 };
+        self.walk(&mut self.new_scratch(), &mut visitor);
+        visitor.count > cap
+    }
+
     /// The exact dynamic access count in closed form, for SCoPs whose
     /// loop bounds and guards are all rectangular (every constraint
     /// involves a single dimension).  `None` means the shape is not
@@ -401,23 +491,34 @@ impl CompiledScop {
     }
 }
 
+/// Drives `visitor` through one compiled subtree at a fixed outer
+/// iteration vector — the per-subtree slice of [`CompiledScop::walk`],
+/// which lets a consumer replay one outer iteration at a time.
+pub fn walk_at<V: WalkVisitor>(
+    node: &CompiledNode,
+    outer: &[i64],
+    scratch: &mut WalkScratch,
+    visitor: &mut V,
+) {
+    scratch.iv.clear();
+    scratch.iv.extend_from_slice(outer);
+    init_bases(node, outer, &mut scratch.bases);
+    walk_node(node, scratch, visitor);
+}
+
 /// Walks the access runs of one compiled subtree at a fixed outer
-/// iteration vector — the per-subtree slice of
-/// [`CompiledScop::for_each_run`], used by interval samplers to replay
-/// one outer iteration at a time.  Returns the number of dynamic
+/// iteration vector (see [`walk_at`]), used by interval samplers to
+/// replay one outer iteration at a time.  Returns the number of dynamic
 /// accesses covered.
 pub fn for_each_run_at(
     node: &CompiledNode,
     outer: &[i64],
     scratch: &mut WalkScratch,
-    mut visit: impl FnMut(&AccessRun),
+    visit: impl FnMut(&AccessRun),
 ) -> u64 {
-    scratch.iv.clear();
-    scratch.iv.extend_from_slice(outer);
-    init_bases(node, outer, &mut scratch.bases);
-    let mut count = 0;
-    walk(node, scratch, &mut visit, &mut count);
-    count
+    let mut visitor = RunVisitor { visit, count: 0 };
+    walk_at(node, outer, scratch, &mut visitor);
+    visitor.count
 }
 
 /// Seeds the base-address slots of every access in the subtree with the
@@ -442,54 +543,94 @@ fn init_bases(node: &CompiledNode, outer: &[i64], bases: &mut Vec<i64>) {
     }
 }
 
-fn walk(
-    node: &CompiledNode,
-    scratch: &mut WalkScratch,
-    visit: &mut impl FnMut(&AccessRun),
-    count: &mut u64,
-) {
+fn walk_node<V: WalkVisitor>(node: &CompiledNode, scratch: &mut WalkScratch, visitor: &mut V) {
     match node {
         CompiledNode::Access(a) => {
             if a.guard_holds(&scratch.iv) {
                 let base = scratch.bases[a.id];
                 debug_assert!(base >= 0, "access to a negative address");
-                visit(&AccessRun {
+                let run = AccessRun {
                     node: a.id,
                     base: base as u64,
                     stride: 0,
                     count: 1,
                     kind: a.kind,
-                });
-                *count += 1;
+                };
+                visitor.run(&run, &scratch.iv);
             }
         }
-        CompiledNode::Loop(l) => walk_loop(l, scratch, visit, count),
+        CompiledNode::Loop(l) => walk_loop(l, scratch, visitor),
     }
 }
 
-fn walk_loop(
-    l: &CompiledLoop,
-    scratch: &mut WalkScratch,
-    visit: &mut impl FnMut(&AccessRun),
-    count: &mut u64,
-) {
+fn walk_loop<V: WalkVisitor>(l: &CompiledLoop, scratch: &mut WalkScratch, visitor: &mut V) {
     let d = l.depth;
-    let (lo, hi) = match &l.bounds {
+    let s = l.stride;
+    // The entry's grid: first value, far bound, and the set every grid
+    // point must be checked against (none when the bounds are exact).
+    let (v0, v_end, member) = match &l.bounds {
         LoopBounds::Exact(bs) => match bs.dim_bounds(d - 1, &scratch.iv) {
-            Some((Some(lo), Some(hi))) if lo <= hi => (lo, hi),
+            Some((Some(lo), Some(hi))) if lo <= hi => {
+                if s > 0 {
+                    (lo, hi, None)
+                } else {
+                    (hi, lo, None)
+                }
+            }
             _ => return,
         },
-        LoopBounds::Dynamic(set) => return walk_loop_dynamic(l, set, scratch, visit, count),
+        LoopBounds::Dynamic(set) => {
+            // Lexmin/lexmax anchors, per-point membership.
+            let WalkScratch {
+                iv, lex_a, lex_b, ..
+            } = &mut *scratch;
+            let found = if s < 0 {
+                set.lexmax_with_prefix_into(iv, lex_a) && set.lexmin_with_prefix_into(iv, lex_b)
+            } else {
+                set.lexmin_with_prefix_into(iv, lex_a) && set.lexmax_with_prefix_into(iv, lex_b)
+            };
+            if !found {
+                return;
+            }
+            (lex_a[d - 1], lex_b[d - 1], Some(set))
+        }
     };
-    let s = l.stride;
-    let n = (hi - lo) / s.abs() + 1;
-    let v0 = if s > 0 { lo } else { hi };
-    if l.run_body {
+    let n = (v_end - v0) / s + 1;
+    visitor.enter(l, v0, v_end);
+    if V::RUNS && l.run_body {
         let CompiledNode::Access(a) = &l.children[0] else {
             unreachable!("run_body implies a single access child");
         };
-        return emit_run(a, d, s, v0, n, lo, hi, scratch, visit, count);
+        emit_run(
+            a,
+            d,
+            s,
+            v0,
+            n,
+            v0.min(v_end),
+            v0.max(v_end),
+            scratch,
+            visitor,
+        );
+    } else {
+        walk_iterations(l, member, v0, n, scratch, visitor);
     }
+    visitor.exit(l);
+}
+
+/// Steps through the `n` grid points of one loop entry starting at
+/// `v0`, calling the head hook at each and walking the body of every
+/// point that is not skipped (and, for a non-exact loop, is in the
+/// domain).
+fn walk_iterations<V: WalkVisitor>(
+    l: &CompiledLoop,
+    member: Option<&Set>,
+    v0: i64,
+    n: i64,
+    scratch: &mut WalkScratch,
+    visitor: &mut V,
+) {
+    let s = l.stride;
     scratch.iv.push(v0);
     for &(slot, c) in &l.deltas {
         scratch.bases[slot] += c * v0;
@@ -497,17 +638,25 @@ fn walk_loop(
     let mut v = v0;
     let mut k: i64 = 0;
     loop {
-        for child in &l.children {
-            walk(child, scratch, visit, count);
-        }
-        k += 1;
-        if k == n {
+        let skip = visitor.head(l, &scratch.iv, k as u64);
+        let step = if skip == 0 {
+            if member.is_none_or(|set| set.contains(&scratch.iv)) {
+                for child in &l.children {
+                    walk_node(child, scratch, visitor);
+                }
+            }
+            1
+        } else {
+            skip.min((n - k) as u64) as i64
+        };
+        k += step;
+        if k >= n {
             break;
         }
-        v += s;
+        v += step * s;
         *scratch.iv.last_mut().expect("loop pushed its dimension") = v;
         for &(slot, c) in &l.deltas {
-            scratch.bases[slot] += c * s;
+            scratch.bases[slot] += c * s * step;
         }
     }
     for &(slot, c) in &l.deltas {
@@ -519,7 +668,7 @@ fn walk_loop(
 /// The run fast path: one [`AccessRun`] per loop entry, its interval
 /// clipped to the access guard on the stride grid.
 #[allow(clippy::too_many_arguments)]
-fn emit_run(
+fn emit_run<V: WalkVisitor>(
     a: &CompiledAccess,
     d: usize,
     s: i64,
@@ -528,8 +677,7 @@ fn emit_run(
     lo: i64,
     hi: i64,
     scratch: &mut WalkScratch,
-    visit: &mut impl FnMut(&AccessRun),
-    count: &mut u64,
+    visitor: &mut V,
 ) {
     let (k_min, k_max) = match &a.guard {
         GuardPlan::Trivial => (0, n - 1),
@@ -554,69 +702,19 @@ fn emit_run(
     if k_min > k_max {
         return;
     }
+    let first = v0 + k_min * s;
     let c = a.coeffs.get(d - 1).copied().unwrap_or(0);
-    let base = scratch.bases[a.id] + c * (v0 + k_min * s);
+    let base = scratch.bases[a.id] + c * first;
     debug_assert!(base >= 0, "access to a negative address");
-    let run_len = (k_max - k_min + 1) as u64;
-    visit(&AccessRun {
+    let run = AccessRun {
         node: a.id,
         base: base as u64,
         stride: c * s,
-        count: run_len,
+        count: (k_max - k_min + 1) as u64,
         kind: a.kind,
-    });
-    *count += run_len;
-}
-
-/// The reference-style enumeration for union domains: lexmin/lexmax
-/// anchors, per-point membership — with strength-reduced addresses for
-/// the subtree.
-fn walk_loop_dynamic(
-    l: &CompiledLoop,
-    set: &Set,
-    scratch: &mut WalkScratch,
-    visit: &mut impl FnMut(&AccessRun),
-    count: &mut u64,
-) {
-    let d = l.depth;
-    let (v0, v_end) = {
-        let WalkScratch {
-            iv, lex_a, lex_b, ..
-        } = &mut *scratch;
-        let found = if l.stride < 0 {
-            set.lexmax_with_prefix_into(iv, lex_a) && set.lexmin_with_prefix_into(iv, lex_b)
-        } else {
-            set.lexmin_with_prefix_into(iv, lex_a) && set.lexmax_with_prefix_into(iv, lex_b)
-        };
-        if !found {
-            return;
-        }
-        (lex_a[d - 1], lex_b[d - 1])
     };
-    scratch.iv.push(v0);
-    for &(slot, c) in &l.deltas {
-        scratch.bases[slot] += c * v0;
-    }
-    let mut v = v0;
-    loop {
-        if set.contains(&scratch.iv) {
-            for child in &l.children {
-                walk(child, scratch, visit, count);
-            }
-        }
-        let next = v + l.stride;
-        if (l.stride > 0 && next > v_end) || (l.stride < 0 && next < v_end) {
-            break;
-        }
-        v = next;
-        *scratch.iv.last_mut().expect("loop pushed its dimension") = v;
-        for &(slot, c) in &l.deltas {
-            scratch.bases[slot] += c * l.stride;
-        }
-    }
-    for &(slot, c) in &l.deltas {
-        scratch.bases[slot] -= c * v;
-    }
+    scratch.iv.push(first);
+    visitor.run(&run, &scratch.iv);
     scratch.iv.pop();
 }
 
@@ -922,6 +1020,20 @@ mod tests {
         assert_equivalent("double A[10]; for (i = 5; i < 5; i++) A[i] = 0;");
         let scop = scop_of("double A[10]; for (i = 5; i < 5; i++) A[i] = 0;");
         assert_eq!(compile(&scop).static_access_count(), Some(0));
+        assert_equivalent("double A[10]; for (i = 5; i < 3; i++) A[i] = 0;");
+        // A constant-false guard leaves the inner loop's domain with no
+        // conjunction at all: it takes the dynamic path.
+        let src = "double A[10];\n\
+                   for (t = 0; t < 3; t++) if (3 > 5) for (j = 0; j < 4; j++) A[j] = 0;";
+        assert_equivalent(src);
+        let compiled = compile(&scop_of(src));
+        let CompiledNode::Loop(outer) = &compiled.roots()[0] else {
+            panic!("root is a loop");
+        };
+        let CompiledNode::Loop(inner) = &outer.children()[0] else {
+            panic!("the guarded child is a loop");
+        };
+        assert!(matches!(inner.bounds, LoopBounds::Dynamic(_)));
     }
 
     #[test]
@@ -931,12 +1043,12 @@ mod tests {
         let CompiledNode::Loop(l) = &compiled.roots()[0] else {
             panic!("root is a loop");
         };
-        assert!(l.is_exact());
+        assert!(matches!(l.bounds, LoopBounds::Exact(_)));
         let CompiledNode::Access(a) = &l.children()[0] else {
             panic!("child is an access");
         };
         assert!(
-            a.guard_is_trivial(),
+            matches!(a.guard, GuardPlan::Trivial),
             "guard-free rectangular accesses hoist entirely"
         );
     }

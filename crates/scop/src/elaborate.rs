@@ -93,6 +93,9 @@ pub enum ElaborateError {
     ZeroStride(String),
     /// A division or product did not fold to an affine expression.
     NonAffine(String),
+    /// An array does not fit the simulated address space: its end
+    /// address would pass `i64::MAX`.
+    ArrayTooLarge(String),
 }
 
 impl fmt::Display for ElaborateError {
@@ -128,6 +131,12 @@ impl fmt::Display for ElaborateError {
             ElaborateError::ZeroStride(iter) => write!(
                 f,
                 "loop `{iter}` has zero stride after parameter substitution"
+            ),
+            ElaborateError::ArrayTooLarge(array) => write!(
+                f,
+                "array `{array}` does not fit the simulated address space (its end address \
+                 would pass {})",
+                i64::MAX
             ),
             ElaborateError::NonAffine(expr) => write!(
                 f,
@@ -191,25 +200,38 @@ impl Elaborator {
                 }
                 extents.push(value as u64);
             }
-            elab.declare_array(&decl.name, extents, decl.elem_size);
+            elab.declare_array(&decl.name, extents, decl.elem_size)?;
         }
         Ok(elab)
     }
 
-    fn declare_array(&mut self, name: &str, extents: Vec<u64>, elem_size: u64) -> usize {
+    /// Lays out an array after the previous one.  Addresses are affine
+    /// `i64` expressions, so an array whose end would pass `i64::MAX` is
+    /// rejected rather than wrapped onto its neighbours.
+    fn declare_array(
+        &mut self,
+        name: &str,
+        extents: Vec<u64>,
+        elem_size: u64,
+    ) -> Result<usize, ElaborateError> {
         let align = self.options.array_alignment.max(1);
-        let base = self.next_base.div_ceil(align) * align;
+        let base = self.next_base.checked_next_multiple_of(align);
         let info = ArrayInfo {
             name: name.to_owned(),
             extents,
             elem_size,
-            base_address: base,
+            base_address: base.unwrap_or(0),
         };
-        self.next_base = base + info.size_bytes();
+        let end = base
+            .zip(info.size_bytes())
+            .and_then(|(base, size)| base.checked_add(size))
+            .filter(|&end| end <= i64::MAX as u64)
+            .ok_or_else(|| ElaborateError::ArrayTooLarge(name.to_owned()))?;
+        self.next_base = end;
         let idx = self.arrays.len();
         self.arrays.push(info);
         self.array_index.insert(name.to_owned(), idx);
-        idx
+        Ok(idx)
     }
 
     fn finish(self, roots: Vec<Node>) -> Scop {
@@ -309,7 +331,7 @@ impl Elaborator {
                 if !self.options.include_scalars {
                     return Ok(None);
                 }
-                self.declare_array(&access.array, Vec::new(), self.options.scalar_size)
+                self.declare_array(&access.array, Vec::new(), self.options.scalar_size)?
             }
         };
         let info = &self.arrays[array_idx];
@@ -399,6 +421,7 @@ fn condition_to_constraint(
 mod tests {
     use super::*;
     use crate::ast::{access, assign, for_loop};
+    use crate::parse_program;
 
     fn stencil_program() -> Program {
         // for (i = 1; i < 999; i++) B[i-1] = A[i-1] + A[i];
@@ -533,6 +556,37 @@ mod tests {
             elaborate(&unbound_bound, &ElaborateOptions::default()),
             Err(ElaborateError::UnknownIterator(_))
         ));
+    }
+
+    #[test]
+    fn arrays_past_the_address_space_are_rejected() {
+        // 2^62 doubles: the size wraps u64, and unchecked arithmetic put
+        // both arrays at the same base address.
+        let wrapping = parse_program(
+            "double A[4611686018427387904]; double B[4];\n\
+             for (i = 0; i < 4; i++) B[i] = A[i];",
+        )
+        .unwrap();
+        assert_eq!(
+            elaborate(&wrapping, &ElaborateOptions::default()),
+            Err(ElaborateError::ArrayTooLarge("A".into()))
+        );
+        let product = parse_program(
+            "double A[9223372036854775807][4];\n\
+             for (i = 0; i < 4; i++) A[i][i] = 0;",
+        )
+        .unwrap();
+        let err = elaborate(&product, &ElaborateOptions::default()).unwrap_err();
+        assert_eq!(err, ElaborateError::ArrayTooLarge("A".into()));
+        assert!(err.to_string().contains("array `A`"), "{err}");
+        // Below the limit, the layout is untouched.
+        let fits = parse_program(
+            "double A[1000000000000]; double B[4];\n\
+             for (i = 0; i < 4; i++) B[i] = A[i];",
+        )
+        .unwrap();
+        let scop = elaborate(&fits, &ElaborateOptions::default()).unwrap();
+        assert_eq!(scop.arrays()[1].base_address, 64 + 8_000_000_000_000);
     }
 
     #[test]

@@ -19,9 +19,14 @@ pub struct ArrayInfo {
 }
 
 impl ArrayInfo {
-    /// Total size of the array in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.extents.iter().product::<u64>().max(1) * self.elem_size
+    /// Total size of the array in bytes, or `None` if it overflows `u64`.
+    /// Elaborated arrays always have a size: elaboration rejects the rest.
+    pub fn size_bytes(&self) -> Option<u64> {
+        self.extents
+            .iter()
+            .try_fold(1u64, |acc, &e| acc.checked_mul(e))?
+            .max(1)
+            .checked_mul(self.elem_size)
     }
 }
 
@@ -166,7 +171,10 @@ impl Scop {
 
     /// The total footprint of all arrays in bytes.
     pub fn footprint_bytes(&self) -> u64 {
-        self.arrays.iter().map(ArrayInfo::size_bytes).sum()
+        self.arrays
+            .iter()
+            .map(|a| a.size_bytes().expect("elaborated arrays have a size"))
+            .sum()
     }
 
     /// Looks up an array by name.
@@ -265,6 +273,7 @@ mod tests {
         let scop = one_loop_scop();
         assert_eq!(scop.access_nodes().count(), 1);
         assert_eq!(scop.footprint_bytes(), 80);
+        assert_eq!(scop.arrays()[0].size_bytes(), Some(80));
         let a = scop.access_nodes().next().unwrap();
         assert_eq!(a.address_at(&[3]), 24);
         assert!(scop.array_by_name("A").is_some());

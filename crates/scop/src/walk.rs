@@ -1,9 +1,14 @@
-//! Walking the dynamic accesses of a SCoP in execution order.
+//! The reference walk: the dynamic accesses of a SCoP in execution order,
+//! straight from the source tree.
 //!
-//! This module contains the reference traversal that both the non-warping
-//! simulator (Algorithm 1 of the paper) and the trace generator build on:
-//! loop nodes step through their iteration domains in lexicographic order and
-//! access nodes report the byte address they touch at the current iteration.
+//! This is Algorithm 1 of the paper with the cache update replaced by a
+//! callback: loop nodes step through their iteration domains in
+//! lexicographic order, re-deriving bounds and checking membership per
+//! iteration, and access nodes evaluate their affine address at the
+//! current iteration.  No simulator runs on it — every backend consumes
+//! the compiled walk ([`mod@crate::compile`]) — it is the oracle the
+//! differential tests compare the compiled walk (and every backend built
+//! on it) against.
 
 use crate::tree::{AccessNode, Node, Scop};
 use cache_model::AccessKind;
@@ -99,96 +104,15 @@ fn walk_node<'a>(
     }
 }
 
-/// Walks the dynamic accesses of a single node at a fixed outer-iteration
-/// vector, invoking `visit` for each.  Returns the number of accesses
-/// visited.
-///
-/// This is the per-subtree slice of [`for_each_access`]: it replays one
-/// outer-loop iteration at a time (pass the loop node's child and the outer
-/// vector for that iteration) instead of the whole SCoP, the reference
-/// counterpart of the compiled walk's `for_each_run_at`.
-pub fn for_each_access_at<'a>(
-    node: &'a Node,
-    outer: &[i64],
-    mut visit: impl FnMut(DynamicAccess<'a>),
-) -> u64 {
-    let mut count = 0;
-    let mut pool = Vec::new();
-    walk_node(node, outer, &mut pool, &mut visit, &mut count);
-    count
-}
-
 /// Counts the dynamic accesses of a SCoP without doing anything else.
 pub fn count_accesses(scop: &Scop) -> u64 {
     for_each_access(scop, |_| {})
 }
 
-/// Whether the SCoP performs strictly more than `cap` dynamic accesses.
-///
-/// Unlike [`count_accesses`] this stops as soon as the answer is known, so
-/// probing a trillion-access kernel against a small budget costs O(cap)
-/// instead of O(total).  Serving layers use it to decide when to degrade a
-/// request to approximate simulation.
-pub fn exceeds_access_count(scop: &Scop, cap: u64) -> bool {
-    let mut count = 0;
-    let mut pool = Vec::new();
-    for root in scop.roots() {
-        if walk_node_capped(root, &[], &mut pool, cap, &mut count) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Walks `node` counting accesses into `count`; returns `true` (abandoning
-/// the walk) as soon as the count exceeds `cap`.
-fn walk_node_capped(
-    node: &Node,
-    outer: &[i64],
-    pool: &mut Vec<Vec<i64>>,
-    cap: u64,
-    count: &mut u64,
-) -> bool {
-    match node {
-        Node::Access(a) => {
-            if a.domain.contains(outer) {
-                *count += 1;
-            }
-            *count > cap
-        }
-        Node::Loop(l) => {
-            let mut i = pool.pop().unwrap_or_default();
-            let mut end = pool.pop().unwrap_or_default();
-            let mut exceeded = false;
-            if let Some(bound) = entry_interval(l, outer, &mut i, &mut end) {
-                pool.push(end);
-                let d = l.depth - 1;
-                'iterations: while (l.stride > 0 && i[d] <= bound)
-                    || (l.stride < 0 && i[d] >= bound)
-                {
-                    if l.domain.contains(&i) {
-                        for child in &l.children {
-                            if walk_node_capped(child, &i, pool, cap, count) {
-                                exceeded = true;
-                                break 'iterations;
-                            }
-                        }
-                    }
-                    i[d] += l.stride;
-                }
-            } else {
-                pool.push(end);
-            }
-            pool.push(i);
-            exceeded
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{elaborate, parse_program, ElaborateOptions};
+    use crate::{compile, elaborate, parse_program, ElaborateOptions};
 
     fn scop_of(src: &str) -> Scop {
         elaborate(&parse_program(src).unwrap(), &ElaborateOptions::default()).unwrap()
@@ -324,37 +248,12 @@ mod tests {
              }",
         );
         let total = count_accesses(&scop);
-        assert!(exceeds_access_count(&scop, total - 1));
-        assert!(!exceeds_access_count(&scop, total));
-        assert!(exceeds_access_count(&scop, 0));
+        let compiled = compile(&scop);
+        assert!(compiled.exceeds_access_count(total - 1));
+        assert!(!compiled.exceeds_access_count(total));
+        assert!(compiled.exceeds_access_count(0));
         let empty = scop_of("double A[10]; for (i = 5; i < 5; i++) A[i] = 0;");
-        assert!(!exceeds_access_count(&empty, 0));
-    }
-
-    #[test]
-    fn per_node_walk_slices_match_the_full_walk() {
-        let scop = scop_of(
-            "double A[200]; double B[200];\n\
-             for (i = 1; i < 99; i++) B[i] = A[i-1] + A[i+1];",
-        );
-        let mut full = Vec::new();
-        for_each_access(&scop, |acc| full.push((acc.node.id, acc.address, acc.kind)));
-        // Replaying each outer iteration through the loop's children must
-        // reproduce the full walk slice by slice.
-        let Node::Loop(l) = &scop.roots()[0] else {
-            panic!("root is a loop");
-        };
-        let mut replayed = Vec::new();
-        let mut count = 0;
-        for i in 1..99i64 {
-            for child in &l.children {
-                count += for_each_access_at(child, &[i], |acc| {
-                    replayed.push((acc.node.id, acc.address, acc.kind));
-                });
-            }
-        }
-        assert_eq!(count as usize, full.len());
-        assert_eq!(replayed, full);
+        assert!(!compile(&empty).exceeds_access_count(0));
     }
 
     #[test]

@@ -451,8 +451,8 @@ impl SimService {
     /// domains are rectangular ([`CompiledScop::static_access_count`]
     /// (scop::CompiledScop::static_access_count) multiplies per-dimension
     /// trip counts — no walking at all); non-rectangular shapes fall back
-    /// to the walking probe ([`scop::exceeds_access_count`], which
-    /// short-circuits once the budget is crossed).  Either way the verdict
+    /// to the capped walk (`CompiledScop::exceeds_access_count`, which
+    /// skips the rest of the walk once the budget is crossed).  Either way the verdict
     /// is memoised per canonical hash, so repeat submissions of the same
     /// kernel — the common case behind the report cache — skip even the
     /// build.
@@ -478,9 +478,10 @@ impl SimService {
                 // which owns the error message (and is not memoised: the
                 // verdict map only records real verdicts).
                 let scop = request.kernel.build().ok()?;
-                let over = match scop::compile(&scop).static_access_count() {
+                let compiled = scop::compile(&scop);
+                let over = match compiled.static_access_count() {
                     Some(total) => total > budget,
-                    None => scop::exceeds_access_count(&scop, budget),
+                    None => compiled.exceeds_access_count(budget),
                 };
                 self.budget_verdicts
                     .lock()

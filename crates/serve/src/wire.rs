@@ -499,6 +499,39 @@ mod tests {
     }
 
     #[test]
+    fn oversized_arrays_get_an_error_and_serving_continues() {
+        let service = Arc::new(SimService::new(ServeConfig {
+            workers: 1,
+            cache_capacity: 4,
+            exact_budget: None,
+            warm_paths: true,
+        }));
+        // Without the size check the first array wrapped the address
+        // space and both arrays shared one base address.
+        let oversized = request_line(1).replace(
+            KERNEL,
+            "double A[4611686018427387904]; double B[4]; for (i = 0; i < 4; i++) B[i] = A[i];",
+        );
+        let input = format!("{oversized}\n{}\n", request_line(2));
+        let sink = Sink(Arc::new(Mutex::new(Vec::new())));
+        serve_lines(&service, Cursor::new(input), sink.clone()).expect("serving succeeds");
+        let lines = lines_of(&sink);
+        let by_id = |id: u64| {
+            lines
+                .iter()
+                .find(|l| l.get("id").and_then(Value::as_u64) == Some(id))
+                .unwrap_or_else(|| panic!("line {id} is answered: {lines:?}"))
+        };
+        let error = by_id(1)
+            .get("error")
+            .and_then(Value::as_str)
+            .expect("error envelope");
+        assert!(error.contains("array `A` does not fit"), "{error}");
+        assert!(by_id(1).get("report").is_none());
+        assert!(by_id(2).get("report").is_some(), "the next line is served");
+    }
+
+    #[test]
     fn families_register_resolve_and_report_debug_hashes() {
         let service = Arc::new(SimService::new(ServeConfig {
             workers: 2,

@@ -1,5 +1,19 @@
 //! The warping symbolic cache simulator (Algorithm 2 of the paper).
 //!
+//! # Driving the compiled walk
+//!
+//! Algorithm 2 is Algorithm 1's walk with match attempts at loop heads,
+//! and that is how the simulator runs: it is a visitor of the compiled
+//! walk ([`scop::WalkVisitor`]), with no loop enumeration of its own.
+//! Every access reaches the symbolic levels with the address the walk
+//! strength-reduced and the iteration vector it maintains; every loop
+//! entry opens a match map, which its exit closes; and every iteration
+//! head may attempt a match.  A warp is a skip: the walk advances the
+//! iterator and the running base addresses by the warped chunks and
+//! resumes at the head of the iteration it lands on.  Warp planning
+//! ([`plan_warp`]) and application still read the access nodes' domains
+//! and affine addresses, looked up by access id.
+//!
 //! # The two-phase match pipeline
 //!
 //! A match attempt no longer builds an exact [`CanonicalKey`] up front.
@@ -42,15 +56,11 @@ use crate::plan::{plan_warp, LevelWarpMode};
 use crate::symstate::SymLevel;
 use cache_model::{LevelStats, MemBlock, MemoryConfig};
 use polyhedra::Aff;
-use scop::{
-    compile, AccessNode, CompiledAccess, CompiledLoop, CompiledNode, EntryBounds, LoopNode, Node,
-    Scop,
-};
+use scop::{compile, AccessNode, AccessRun, CompiledLoop, CompiledNode, Scop, WalkVisitor};
 use simulate::SimulationResult;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::rc::Rc;
 use std::time::Instant;
 
 /// The memory system simulated by the warping simulator.
@@ -203,13 +213,6 @@ pub struct WarpingOptions {
     /// exhaustive key-per-attempt pipeline (useful for differential testing
     /// and ablation); results are bit-identical either way.
     pub fingerprint_filter: bool,
-    /// Whether warp application may fan out across levels (and across sets
-    /// within large levels) over the simulator's [thread
-    /// budget](WarpingSimulator::with_threads).  The rewrite of each set is
-    /// independent, so the resulting state — and every simulation count —
-    /// is bit-identical to the sequential rewrite.  Depth-1 or small
-    /// configurations fall back to the sequential path automatically.
-    pub parallel_warp: bool,
 }
 
 impl Default for WarpingOptions {
@@ -228,7 +231,6 @@ impl WarpingOptions {
         min_trip_count: 24,
         max_fruitless_attempts: 512,
         fingerprint_filter: true,
-        parallel_warp: true,
     };
 
     /// Checks the options for values that would make the simulator loop or
@@ -302,22 +304,47 @@ struct Counters {
     level: Vec<LevelStats>,
 }
 
-/// Per-loop-node data that is invariant across executions of the node:
-/// the access nodes below it, their id set, and the common per-iteration
-/// address coefficient on the loop's dimension (if any).  Computed once and
-/// cached for the whole [`WarpingSimulator::run`], instead of being
-/// recollected on every execution of an inner loop.
+/// Per-loop data that is invariant across the loop's entries: the access
+/// nodes below it, their id set, and the common per-iteration address
+/// coefficient on the loop's dimension (if any).  Computed on a loop's
+/// first entry and kept for the rest of the run.
 struct LoopInfo<'a> {
     nodes: Vec<&'a AccessNode>,
     ids: HashSet<usize>,
     uniform_coeff: Option<i64>,
 }
 
-/// Per-run context threaded through the tree walk: the address table and
-/// the per-node [`LoopInfo`] cache.
-struct RunCtx<'a> {
+/// One live loop entry: the per-entry state of Algorithm 2.
+struct LoopEntry {
+    /// Whether the entry attempts matches at all (see
+    /// [`WarpRun::enter`]).
+    warpable: bool,
+    /// Whether the eager phase runs (donor hints may demote it).
+    eager: bool,
+    /// The far bound of the entry's iterator, the end of any warp.
+    last: i64,
+    /// Fruitless-attempt count, carried over from earlier entries.
+    fruitless: u64,
+    /// The match map of Algorithm 2, keyed by fingerprint.
+    map: HashMap<u64, MatchEntry>,
+}
+
+/// One [`WarpingSimulator::run`]: the visitor that drives the simulator
+/// through the compiled walk.  Accesses update the symbolic levels, loop
+/// entries open and close match maps, and every iteration head may
+/// attempt a match — a warp is a skip of the matched chunks.
+struct WarpRun<'s, 'a> {
+    sim: &'s mut WarpingSimulator,
+    /// Identifies the SCoP in the simulator's per-loop budget map.
+    scop_key: usize,
+    /// The access nodes, by id.
+    nodes: Vec<&'a AccessNode>,
+    /// The access address functions, by id.
     addresses: Vec<Aff>,
-    loops: HashMap<usize, Rc<LoopInfo<'a>>>,
+    /// Per-loop facts, by [`CompiledLoop::id`], computed on first entry.
+    loops: Vec<Option<LoopInfo<'a>>>,
+    /// The live loop entries, innermost last.
+    entries: Vec<LoopEntry>,
 }
 
 /// The warping symbolic cache simulator.
@@ -343,9 +370,10 @@ pub struct WarpingSimulator {
     exact_key_builds: u64,
     stale_label_renorms: u64,
     warp_apply_ns: u64,
-    /// Match attempts that did not result in a warp, per loop node (keyed by
-    /// the node's address within the SCoP currently being simulated).
-    fruitless: HashMap<usize, u64>,
+    /// Match attempts that did not result in a warp, per loop, carried
+    /// across entries and across runs of the same SCoP (keyed by the
+    /// SCoP's node storage and the loop's [`CompiledLoop::id`]).
+    fruitless: HashMap<(usize, usize), u64>,
     /// Donor hints from a similar earlier run (see [`WarpHints`]); `None`
     /// runs the cold schedule.
     hints: Option<WarpHints>,
@@ -410,10 +438,12 @@ impl WarpingSimulator {
         self
     }
 
-    /// Grants the simulator a thread budget for parallel warp application
-    /// (clamped to at least 1; the default is 1, i.e. sequential).  Only
-    /// effective when [`WarpingOptions::parallel_warp`] is enabled; results
-    /// are bit-identical for every budget.
+    /// Grants the simulator a thread budget for warp application
+    /// (clamped to at least 1; the default is 1, i.e. sequential).  A
+    /// larger budget lets a warp fan out across levels, and across sets
+    /// within large levels; the rewrite of each set is independent, so
+    /// the state and every count are bit-identical for every budget.
+    /// Depth-1 or small configurations stay sequential automatically.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.warp_threads = threads.max(1);
         self
@@ -451,25 +481,18 @@ impl WarpingSimulator {
     /// across calls, so SCoPs can be simulated in sequence; use a fresh
     /// simulator for independent runs.
     pub fn run(&mut self, scop: &Scop) -> WarpingOutcome {
-        let addresses: Vec<Aff> = {
-            let mut v: Vec<(usize, Aff)> = scop
-                .access_nodes()
-                .map(|a| (a.id, a.address.clone()))
-                .collect();
-            v.sort_by_key(|(id, _)| *id);
-            v.into_iter().map(|(_, a)| a).collect()
-        };
-        let mut ctx = RunCtx {
-            addresses,
-            loops: HashMap::new(),
-        };
-        // The compiled tree mirrors the source tree node for node, so the
-        // explicit walk steps both in lockstep and consults the compiled
-        // side for hoisted bounds and guards.
+        let mut nodes: Vec<&AccessNode> = scop.access_nodes().collect();
+        nodes.sort_by_key(|a| a.id);
         let compiled = compile(scop);
-        for (root, croot) in scop.roots().iter().zip(compiled.roots()) {
-            self.simulate_node(root, croot, &[], &mut ctx);
-        }
+        let mut run = WarpRun {
+            scop_key: scop.roots().as_ptr() as usize,
+            addresses: nodes.iter().map(|a| a.address.clone()).collect(),
+            nodes,
+            loops: (0..compiled.num_loops()).map(|_| None).collect(),
+            entries: Vec::new(),
+            sim: self,
+        };
+        compiled.walk(&mut compiled.new_scratch(), &mut run);
         self.outcome()
     }
 
@@ -496,57 +519,6 @@ impl WarpingSimulator {
             accesses: self.accesses,
             level: self.levels.iter().map(|l| l.stats).collect(),
         }
-    }
-
-    fn simulate_node<'a>(
-        &mut self,
-        node: &'a Node,
-        cnode: &CompiledNode,
-        outer: &[i64],
-        ctx: &mut RunCtx<'a>,
-    ) {
-        match (node, cnode) {
-            (Node::Access(a), CompiledNode::Access(ca)) => self.simulate_access(a, ca, outer),
-            (Node::Loop(l), CompiledNode::Loop(cl)) => self.simulate_loop(l, cl, outer, ctx),
-            _ => unreachable!("the compiled tree mirrors the source tree node for node"),
-        }
-    }
-
-    fn simulate_access(&mut self, access: &AccessNode, ca: &CompiledAccess, outer: &[i64]) {
-        // A hoisted-trivial guard means membership is implied by the
-        // enclosing exact loops — skip the per-point union-set check.
-        if !ca.guard_is_trivial() && !access.domain.contains(outer) {
-            return;
-        }
-        let address = access.address_at(outer);
-        self.accesses += 1;
-        // The inclusive walk of the N-level hierarchy: each level is only
-        // consulted — and updated — when the previous one misses.
-        for level in &mut self.levels {
-            let block = MemBlock(address / level.config.line_size());
-            if level.access(block, access.kind, access.id, outer) {
-                break;
-            }
-        }
-    }
-
-    /// The per-node [`LoopInfo`], computed on first sight and cached for
-    /// the rest of the run.
-    fn loop_info<'a>(loop_node: &'a LoopNode, ctx: &mut RunCtx<'a>) -> Rc<LoopInfo<'a>> {
-        let node_key = loop_node as *const LoopNode as usize;
-        if let Some(info) = ctx.loops.get(&node_key) {
-            return Rc::clone(info);
-        }
-        let nodes = descendants(loop_node);
-        let ids: HashSet<usize> = nodes.iter().map(|a| a.id).collect();
-        let uniform_coeff = uniform_coefficient(&nodes, loop_node.depth - 1);
-        let info = Rc::new(LoopInfo {
-            nodes,
-            ids,
-            uniform_coeff,
-        });
-        ctx.loops.insert(node_key, Rc::clone(&info));
-        info
     }
 
     /// Combines the per-level rolling fingerprints for a warp attempt at
@@ -590,140 +562,6 @@ impl WarpingSimulator {
     ) -> CanonicalKey {
         self.exact_key_builds += 1;
         CanonicalKey::of_levels(&self.levels, descendant_ids, depth, normalizers)
-    }
-
-    fn simulate_loop<'a>(
-        &mut self,
-        loop_node: &'a LoopNode,
-        cl: &CompiledLoop,
-        outer: &[i64],
-        ctx: &mut RunCtx<'a>,
-    ) {
-        let depth = loop_node.depth;
-        // Hoisted bounds: an exact entry interval makes the per-iteration
-        // domain checks redundant, and an exactly-empty entry returns at
-        // once.  Only a domain that did not compile exactly
-        // (`EntryBounds::Dynamic`) derives its bounds by lexmin/lexmax and
-        // checks membership per iteration.
-        let bounds = cl.entry_bounds(outer);
-        if bounds == EntryBounds::Empty {
-            return;
-        }
-        let exact = matches!(bounds, EntryBounds::Exact(..));
-        if loop_node.stride < 0 {
-            // Decreasing loops walk lexmax-first.  They are simulated
-            // explicitly: warp matching assumes increasing iterators (the
-            // match map stores the *earlier* state), and extending it to
-            // negative periods is an open ROADMAP item.
-            let (mut i, v_lo) = match bounds {
-                EntryBounds::Exact(lo, hi) => {
-                    let mut i = Vec::with_capacity(depth);
-                    i.extend_from_slice(outer);
-                    i.push(hi);
-                    (i, lo)
-                }
-                _ => {
-                    let Some(i) = loop_node.last(outer) else {
-                        return;
-                    };
-                    let Some(lowest) = loop_node.initial(outer) else {
-                        return;
-                    };
-                    (i, lowest[depth - 1])
-                }
-            };
-            while i[depth - 1] >= v_lo {
-                if exact || loop_node.domain.contains(&i) {
-                    for (child, cchild) in loop_node.children.iter().zip(cl.children()) {
-                        self.simulate_node(child, cchild, &i, ctx);
-                    }
-                }
-                i[depth - 1] += loop_node.stride;
-            }
-            return;
-        }
-        let (mut i, v_last) = match bounds {
-            EntryBounds::Exact(lo, hi) => {
-                let mut i = Vec::with_capacity(depth);
-                i.extend_from_slice(outer);
-                i.push(lo);
-                (i, hi)
-            }
-            _ => {
-                let Some(i) = loop_node.initial(outer) else {
-                    return;
-                };
-                let Some(last) = loop_node.last(outer) else {
-                    return;
-                };
-                (i, last[depth - 1])
-            }
-        };
-        let stride = loop_node.stride.max(1);
-        // Cheap gating: warping at this loop can only ever succeed if every
-        // access below it shifts by the same amount per iteration (see
-        // `plan_warp`), and it can only pay off if the loop has enough
-        // iterations to amortise the cost of match attempts.  The loop
-        // structure facts come from the per-run cache, so inner loops do not
-        // recollect their descendants on every outer iteration.
-        let trip_count = (v_last - i[depth - 1]) / stride + 1;
-        let node_key = loop_node as *const LoopNode as usize;
-        let mut fruitless = self.fruitless.get(&node_key).copied().unwrap_or(0);
-        let info = Self::loop_info(loop_node, ctx);
-        let warpable = trip_count >= self.options.min_trip_count
-            && !info.nodes.is_empty()
-            && info.uniform_coeff.is_some();
-        // Donor hints demote the eager phase on depths a similar run
-        // already probed exhaustively without a single warp; a depth the
-        // donor saw warp (or never saw at all) keeps the cold schedule.
-        let eager = match &self.hints {
-            Some(hints) => !hints.is_barren(depth) || hints.is_warped(depth),
-            None => true,
-        };
-        let mut map: HashMap<u64, MatchEntry> = HashMap::new();
-        let mut iteration_index: u64 = 0;
-
-        while i[depth - 1] <= v_last {
-            let v1 = i[depth - 1];
-            if warpable
-                && fruitless < self.options.max_fruitless_attempts
-                && self.should_attempt(iteration_index, eager)
-            {
-                if let Some(warped) = self.attempt_match(
-                    &info,
-                    &ctx.addresses,
-                    depth,
-                    outer,
-                    v1,
-                    v_last,
-                    &mut map,
-                    &mut fruitless,
-                ) {
-                    let period_total = warped; // iterator units warped across
-                    i[depth - 1] += period_total;
-                    fruitless = 0;
-                    // Iterator units advance by `stride` per iteration.
-                    iteration_index += (period_total / stride) as u64;
-                    // Do not consume this iteration: re-enter the loop
-                    // header so the landed-on iteration is simulated (or
-                    // warped again).
-                    continue;
-                }
-            }
-            if exact || loop_node.domain.contains(&i) {
-                for (child, cchild) in loop_node.children.iter().zip(cl.children()) {
-                    self.simulate_node(child, cchild, &i, ctx);
-                }
-            }
-            i[depth - 1] += loop_node.stride;
-            iteration_index += 1;
-        }
-        if warpable {
-            if fruitless >= self.options.max_fruitless_attempts {
-                self.exhausted_depths.insert(depth);
-            }
-            self.fruitless.insert(node_key, fruitless);
-        }
     }
 
     /// One two-phase match attempt at iterator value `v1`.  Returns the
@@ -870,11 +708,7 @@ impl WarpingSimulator {
         // also what explicit simulation of the warped window would have
         // produced (the window never touches them).
         let total_shift = plan.byte_shift_per_chunk * plan.chunks;
-        let budget = if self.options.parallel_warp {
-            self.warp_threads
-        } else {
-            1
-        };
+        let budget = self.warp_threads;
         // Fan out across levels only when the budget covers one thread per
         // *rotating* level (frozen levels spawn no work and do not dilute
         // the budget); a smaller budget stays sequential across levels
@@ -943,33 +777,147 @@ impl WarpingSimulator {
     }
 }
 
-/// The common per-iteration byte-shift coefficient of all access nodes on
-/// the given dimension, if they agree (`None` if they differ, in which case
-/// warping at that loop can never satisfy the uniform-shift condition).
-fn uniform_coefficient(nodes: &[&AccessNode], dim: usize) -> Option<i64> {
-    let mut common = None;
-    for node in nodes {
-        let c = node.address.coeff(dim);
-        match common {
-            None => common = Some(c),
-            Some(existing) if existing == c => {}
-            Some(_) => return None,
+impl WalkVisitor for WarpRun<'_, '_> {
+    /// Every access must reach the symbolic levels with its own iteration
+    /// vector, and every iteration head is a potential match point.
+    const RUNS: bool = false;
+
+    fn run(&mut self, run: &AccessRun, iv: &[i64]) {
+        let sim = &mut *self.sim;
+        sim.accesses += 1;
+        // The inclusive walk of the N-level hierarchy: each level is only
+        // consulted — and updated — when the previous one misses.
+        for level in &mut sim.levels {
+            let block = MemBlock(run.base / level.config.line_size());
+            if level.access(block, run.kind, run.node, iv) {
+                break;
+            }
         }
     }
-    common
+
+    /// Opens the entry's match map.  Cheap gating: warping at a loop can
+    /// only ever succeed if every access below it shifts by the same
+    /// amount per iteration (see `plan_warp`), and it can only pay off if
+    /// the entry has enough iterations to amortise the cost of match
+    /// attempts.  Decreasing loops never warp: matching assumes
+    /// increasing iterators (the match map stores the *earlier* state),
+    /// and extending it to negative periods is an open ROADMAP item.
+    fn enter(&mut self, l: &CompiledLoop, first: i64, last: i64) {
+        let sim = &*self.sim;
+        let warpable = l.stride > 0 && {
+            let info = self.loops[l.id].get_or_insert_with(|| loop_info(l, &self.nodes));
+            (last - first) / l.stride + 1 >= sim.options.min_trip_count
+                && !info.nodes.is_empty()
+                && info.uniform_coeff.is_some()
+        };
+        // Donor hints demote the eager phase on depths a similar run
+        // already probed exhaustively without a single warp; a depth the
+        // donor saw warp (or never saw at all) keeps the cold schedule.
+        let eager = match &sim.hints {
+            Some(hints) => !hints.is_barren(l.depth) || hints.is_warped(l.depth),
+            None => true,
+        };
+        let fruitless = sim
+            .fruitless
+            .get(&(self.scop_key, l.id))
+            .copied()
+            .unwrap_or(0);
+        self.entries.push(LoopEntry {
+            warpable,
+            eager,
+            last,
+            fruitless,
+            map: HashMap::new(),
+        });
+    }
+
+    fn exit(&mut self, l: &CompiledLoop) {
+        let entry = self.entries.pop().expect("exit matches an enter");
+        if entry.warpable {
+            if entry.fruitless >= self.sim.options.max_fruitless_attempts {
+                self.sim.exhausted_depths.insert(l.depth);
+            }
+            self.sim
+                .fruitless
+                .insert((self.scop_key, l.id), entry.fruitless);
+        }
+    }
+
+    /// A match attempt at the top of an iteration; a warp skips the
+    /// matched chunks, and the walk resumes at the head of the iteration
+    /// it lands on, which is simulated (or warped again).
+    fn head(&mut self, l: &CompiledLoop, iv: &[i64], index: u64) -> u64 {
+        let WarpRun {
+            sim,
+            addresses,
+            loops,
+            entries,
+            ..
+        } = self;
+        let entry = entries.last_mut().expect("head runs inside an entry");
+        if !entry.warpable
+            || entry.fruitless >= sim.options.max_fruitless_attempts
+            || !sim.should_attempt(index, entry.eager)
+        {
+            return 0;
+        }
+        let info = loops[l.id]
+            .as_ref()
+            .expect("warpable loops computed their info on entry");
+        let depth = l.depth;
+        match sim.attempt_match(
+            info,
+            addresses,
+            depth,
+            &iv[..depth - 1],
+            iv[depth - 1],
+            entry.last,
+            &mut entry.map,
+            &mut entry.fruitless,
+        ) {
+            Some(warped) => {
+                entry.fruitless = 0;
+                // Iterator units advance by `stride` per iteration.
+                (warped / l.stride) as u64
+            }
+            None => 0,
+        }
+    }
 }
 
-/// Collects the access nodes below a loop node.
-fn descendants(loop_node: &LoopNode) -> Vec<&AccessNode> {
-    let mut out = Vec::new();
-    let mut stack: Vec<&Node> = loop_node.children.iter().collect();
-    while let Some(node) = stack.pop() {
-        match node {
-            Node::Access(a) => out.push(a),
-            Node::Loop(l) => stack.extend(l.children.iter()),
+/// The facts of loop `l`: its descendant access nodes (looked up by id
+/// in `nodes`), their id set, and their common per-iteration byte-shift
+/// coefficient on the loop's dimension — `None` if they differ, in which
+/// case warping at the loop can never satisfy the uniform-shift
+/// condition.
+fn loop_info<'a>(l: &CompiledLoop, nodes: &[&'a AccessNode]) -> LoopInfo<'a> {
+    fn collect<'a>(
+        children: &[CompiledNode],
+        by_id: &[&'a AccessNode],
+        out: &mut Vec<&'a AccessNode>,
+    ) {
+        for child in children {
+            match child {
+                CompiledNode::Access(a) => out.push(by_id[a.id]),
+                CompiledNode::Loop(inner) => collect(inner.children(), by_id, out),
+            }
         }
     }
-    out
+    let mut below = Vec::new();
+    collect(l.children(), nodes, &mut below);
+    let dim = l.depth - 1;
+    let mut uniform_coeff = below.first().map(|a| a.address.coeff(dim));
+    if below
+        .iter()
+        .any(|a| Some(a.address.coeff(dim)) != uniform_coeff)
+    {
+        uniform_coeff = None;
+    }
+    LoopInfo {
+        ids: below.iter().map(|a| a.id).collect(),
+        nodes: below,
+        uniform_coeff,
+    }
 }
 
 #[cfg(test)]
@@ -1318,6 +1266,36 @@ mod tests {
                 cold.match_attempts
             );
         }
+    }
+
+    #[test]
+    fn fruitless_budgets_carry_over_across_runs_of_one_scop() {
+        // A stream into a cache that never evicts: every line adds to the
+        // state, so no two attempts match, and with exhaustive keys every
+        // attempt is costly.  The first run exhausts the small budget; a
+        // second run of the same SCoP must start from the exhausted
+        // budget (no new attempts) rather than probe the loop again.
+        let scop = parse_scop("double A[300]; for (i = 0; i < 300; i++) A[i] = A[i];").unwrap();
+        let memory =
+            WarpingMemory::from(CacheConfig::with_sets(1, 256, 64, ReplacementPolicy::Lru));
+        let options = WarpingOptions {
+            fingerprint_filter: false,
+            max_fruitless_attempts: 8,
+            ..WarpingOptions::default()
+        };
+        let mut sim = WarpingSimulator::new(memory).with_options(options);
+        let first = sim.run(&scop);
+        assert_eq!(first.match_attempts, 8, "the budget runs out");
+        assert_eq!(first.warps, 0, "no state recurs");
+        let second = sim.run(&scop);
+        assert_eq!(
+            second.match_attempts, first.match_attempts,
+            "an exhausted budget carries over to the next run"
+        );
+        assert_eq!(second.result.accesses, 2 * first.result.accesses);
+        // A different SCoP (here: a copy) starts with a fresh budget.
+        let third = sim.run(&scop.clone());
+        assert!(third.match_attempts > second.match_attempts);
     }
 
     #[test]

@@ -49,14 +49,15 @@ fn warping_equals_classic_on_three_levels() {
 
 #[test]
 fn fingerprint_filter_and_parallel_warp_are_stat_neutral_at_depth_3() {
-    // The two-phase match pipeline (fingerprint filter on, parallel warp
-    // application on — the defaults) must produce per-level statistics
-    // bit-identical to the exhaustive key-per-attempt pipeline of the
-    // depth-N core, which itself is proven equal to classic simulation.
-    let engine = Engine::new();
+    // The two-phase match pipeline (fingerprint filter on, warps applied
+    // over a thread budget of 2) must produce per-level statistics
+    // bit-identical to the exhaustive key-per-attempt pipeline applying
+    // warps sequentially, which itself is proven equal to classic
+    // simulation.
+    let engine = Engine::new().with_threads(2);
+    let sequential = Engine::new().with_threads(1);
     let exhaustive_options = WarpingOptions {
         fingerprint_filter: false,
-        parallel_warp: false,
         ..WarpingOptions::default()
     };
     for kernel in KERNELS {
@@ -71,7 +72,7 @@ fn fingerprint_filter_and_parallel_warp_are_stat_neutral_at_depth_3() {
                     Backend::warping(),
                 ))
                 .expect("filtered depth-3 request");
-            let exhaustive = engine
+            let exhaustive = sequential
                 .run(&SimRequest::new(
                     spec.clone(),
                     memory,
