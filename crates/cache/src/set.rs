@@ -131,11 +131,13 @@ impl<B: Clone> SetState<B> {
     }
 
     /// Records a hit on line `idx` and updates the replacement state.
+    /// Returns the position at which the hit line now resides: 0 for LRU
+    /// (the line moves to the front), `idx` for the other policies.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range or the line is empty.
-    pub fn on_hit(&mut self, policy: ReplacementPolicy, idx: usize) {
+    pub fn on_hit(&mut self, policy: ReplacementPolicy, idx: usize) -> usize {
         assert!(self.lines[idx].is_some(), "hit on an empty line");
         self.version += 1;
         match policy {
@@ -143,6 +145,7 @@ impl<B: Clone> SetState<B> {
                 // Move the hit line to the front, shifting the younger ones.
                 let hit = self.lines.remove(idx);
                 self.lines.insert(0, hit);
+                return 0;
             }
             ReplacementPolicy::Fifo => {
                 // FIFO does not update state on hits.
@@ -160,6 +163,7 @@ impl<B: Clone> SetState<B> {
                 ages[idx] = 0;
             }
         }
+        idx
     }
 
     /// Inserts `payload` after a miss, evicting and returning the victim's
@@ -289,6 +293,25 @@ mod tests {
         // After the sequence: b is MRU, c is LRU.
         assert_eq!(set.lines()[0], Some('b'));
         assert_eq!(set.lines()[1], Some('c'));
+    }
+
+    #[test]
+    fn on_hit_returns_the_new_position_of_the_line() {
+        for policy in ReplacementPolicy::ALL {
+            let mut set = SetState::new(policy, 4);
+            for b in ['a', 'b', 'c'] {
+                set.on_miss_insert(policy, b);
+            }
+            let way = set.find(|b| *b == 'b').expect("b is cached");
+            let now = set.on_hit(policy, way);
+            assert_eq!(set.lines()[now], Some('b'), "{policy}");
+            let expected = if policy == ReplacementPolicy::Lru {
+                0
+            } else {
+                way
+            };
+            assert_eq!(now, expected, "{policy}");
+        }
     }
 
     #[test]

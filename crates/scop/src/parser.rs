@@ -27,9 +27,19 @@
 //! literals and function calls; the parser only extracts the array (and
 //! scalar) references in program order, which is all that cache simulation
 //! needs.  Preprocessor lines and comments are skipped.
+//!
+//! Nesting is bounded by [`MAX_NESTING`]: parentheses, unary minus signs,
+//! the operators of one expression and nested statements all count, so
+//! neither the recursive parser nor the expression trees it builds can be
+//! driven deep enough to overflow a stack.
 
 use crate::ast::{ArrayAccess, ArrayDecl, CmpOp, Condition, Expr, Program, Statement};
 use std::fmt;
+
+/// How deeply a program may nest: statements inside statements, plus,
+/// within an expression, parentheses, unary minus signs and binary
+/// operators (a chain of `n` operators builds a tree `n` deep).
+pub const MAX_NESTING: usize = 256;
 
 /// A parse error with a human-readable message and source line.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -60,6 +70,7 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
         tokens,
         pos: 0,
         params: Vec::new(),
+        depth: 0,
     };
     parser.program()
 }
@@ -186,6 +197,8 @@ struct Parser {
     pos: usize,
     /// Parameters declared so far (`param N;`), in declaration order.
     params: Vec<String>,
+    /// Current nesting depth, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -201,6 +214,19 @@ impl Parser {
 
     fn peek(&self) -> Option<&Tok> {
         self.tokens.get(self.pos).map(|t| &t.tok)
+    }
+
+    /// Enters one more level of nesting, or fails past [`MAX_NESTING`].
+    /// The caller restores `depth` when it leaves the level.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.error(format!(
+                "nesting deeper than {MAX_NESTING} levels (statements, parentheses, signs or \
+                 operators)"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn peek_at(&self, offset: usize) -> Option<&Tok> {
@@ -343,6 +369,13 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Statement, ParseError> {
+        self.descend()?;
+        let statement = self.statement_at_depth();
+        self.depth -= 1;
+        statement
+    }
+
+    fn statement_at_depth(&mut self) -> Result<Statement, ParseError> {
         match self.peek() {
             Some(Tok::Ident(name)) if name == "for" => self.for_statement(),
             Some(Tok::Ident(name)) if name == "if" => self.if_statement(),
@@ -652,28 +685,37 @@ impl Parser {
     /// Strict affine expression parser used for subscripts, bounds and guard
     /// conditions.
     fn affine_expr(&mut self) -> Result<Expr, ParseError> {
+        // Every operator deepens the left-leaning tree by one level.
+        let depth = self.depth;
         let mut expr = self.affine_term()?;
         loop {
             if self.eat_punct("+") {
+                self.descend()?;
                 expr = expr.add(self.affine_term()?);
             } else if self.eat_punct("-") {
+                self.descend()?;
                 expr = expr.sub(self.affine_term()?);
             } else {
+                self.depth = depth;
                 return Ok(expr);
             }
         }
     }
 
     fn affine_term(&mut self) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut expr = self.affine_factor()?;
         loop {
             if self.eat_punct("*") {
+                self.descend()?;
                 let rhs = self.affine_factor()?;
                 expr = self.affine_product(expr, rhs)?;
             } else if self.eat_punct("/") {
+                self.descend()?;
                 let rhs = self.affine_factor()?;
                 expr = self.affine_quotient(expr, rhs)?;
             } else {
+                self.depth = depth;
                 return Ok(expr);
             }
         }
@@ -719,10 +761,17 @@ impl Parser {
         match self.advance() {
             Some(Tok::Int(n)) => Ok(Expr::Const(n)),
             Some(Tok::Ident(name)) => Ok(Expr::Iter(name)),
-            Some(Tok::Punct("-")) => Ok(Expr::Const(0).sub(self.affine_factor()?)),
+            Some(Tok::Punct("-")) => {
+                self.descend()?;
+                let e = Expr::Const(0).sub(self.affine_factor()?);
+                self.depth -= 1;
+                Ok(e)
+            }
             Some(Tok::Punct("(")) => {
+                self.descend()?;
                 let e = self.affine_expr()?;
                 self.expect_punct(")")?;
+                self.depth -= 1;
                 Ok(e)
             }
             other => Err(self.error(format!("expected an affine expression, found {other:?}"))),
@@ -1005,6 +1054,43 @@ mod tests {
         assert!(err.message.contains("division by zero"), "{}", err.message);
         // `param` itself cannot be a type-like name.
         assert!(parse_program("param double;").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error() {
+        let kernel =
+            |subscript: &str| format!("double A[10]; for (i = 0; i < 10; i++) A[{subscript}] = 0;");
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + "i" + &close.repeat(n);
+        // Parentheses and signs nest up to the limit (the loop and its
+        // body statement take two levels of it) ...
+        let fits = MAX_NESTING - 2;
+        assert!(parse_program(&kernel(&nested("(", ")", fits))).is_ok());
+        assert!(parse_program(&kernel(&nested("- ", "", fits))).is_ok());
+        assert!(parse_program(&kernel(&nested("(", ")", fits + 1))).is_err());
+        // ... and past it, however deep, fail cleanly instead of
+        // overflowing the stack.
+        for subscript in [
+            nested("(", ")", 50_000),
+            nested("- ", "", 50_000),
+            nested("(-", ")", 25_000),
+            format!("i{}", " + 1".repeat(50_000)),
+            format!("i{}", " * 1".repeat(50_000)),
+        ] {
+            let err = parse_program(&kernel(&subscript)).expect_err("too deep");
+            assert!(
+                err.message.contains("nesting deeper than"),
+                "{}",
+                err.message
+            );
+        }
+        // Statements count too.
+        let blocks = "{".repeat(50_000) + "A[0] = 0;" + &"}".repeat(50_000);
+        let err = parse_program(&format!("double A[1]; {blocks}")).expect_err("too deep");
+        assert!(
+            err.message.contains("nesting deeper than"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

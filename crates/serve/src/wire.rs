@@ -531,6 +531,52 @@ mod tests {
         assert!(by_id(2).get("report").is_some(), "the next line is served");
     }
 
+    /// Serves `hostile` then a valid request on one stream, and checks
+    /// that the hostile line gets exactly one error envelope, containing
+    /// `message`, and the valid one is answered.
+    fn hostile_line_is_answered_and_serving_continues(hostile: &str, message: &str) {
+        let service = Arc::new(SimService::new(ServeConfig {
+            workers: 1,
+            cache_capacity: 4,
+            exact_budget: None,
+            warm_paths: true,
+        }));
+        let input = format!("{hostile}\n{}\n", request_line(2));
+        let sink = Sink(Arc::new(Mutex::new(Vec::new())));
+        serve_lines(&service, Cursor::new(input), sink.clone()).expect("serving succeeds");
+        let lines = lines_of(&sink);
+        let errors: Vec<&str> = lines
+            .iter()
+            .filter_map(|l| l.get("error").and_then(Value::as_str))
+            .collect();
+        assert_eq!(errors.len(), 1, "one error envelope: {errors:?}");
+        assert!(errors[0].contains(message), "{}", errors[0]);
+        let answered = lines
+            .iter()
+            .find(|l| l.get("id").and_then(Value::as_u64) == Some(2))
+            .expect("the next line is answered");
+        let report = answered.get("report").expect("a success envelope");
+        assert_eq!(
+            report.get("backend").and_then(Value::as_str),
+            Some("warping")
+        );
+        assert!(lines.last().and_then(|l| l.get("serve_stats")).is_some());
+    }
+
+    #[test]
+    fn deeply_nested_json_gets_an_error_and_serving_continues() {
+        // Parsed recursively, 100k openers overflowed the stack.
+        hostile_line_is_answered_and_serving_continues(&"[".repeat(100_000), "recursion limit");
+    }
+
+    #[test]
+    fn deeply_nested_kernels_get_an_error_and_serving_continues() {
+        // Parsed recursively, 50k parentheses overflowed a worker's stack.
+        let subscript = "(".repeat(50_000) + "i" + &")".repeat(50_000);
+        let hostile = request_line(1).replace("A[i] = A[i]", &format!("A[{subscript}] = A[i]"));
+        hostile_line_is_answered_and_serving_continues(&hostile, "nesting deeper than");
+    }
+
     #[test]
     fn families_register_resolve_and_report_debug_hashes() {
         let service = Arc::new(SimService::new(ServeConfig {

@@ -14,9 +14,11 @@
 //!
 //! The contrapositive is what the simulator uses: when the fingerprints of
 //! two states differ, no exact key needs to be built — the states cannot
-//! match.  Fingerprint collisions (equal fingerprints, different states) are
-//! harmless: the exact key is still consulted before any warp, so soundness
-//! is entirely unaffected by hash quality.
+//! match.  Fingerprint collisions (equal fingerprints, different states)
+//! cannot make a warp unsound — the exact key is still consulted before any
+//! warp — but they cost time: each one pays for an exact key that then
+//! fails to match.  The fingerprint is therefore built to be as
+//! discriminating as the key wherever that stays cheap to maintain.
 //!
 //! # The digest algebra
 //!
@@ -38,23 +40,43 @@
 //! * the replacement-policy metadata verbatim, since matching states must
 //!   agree on it exactly.
 //!
-//! # Why exclusion (not epoch deltas) encodes the warped dimension
+//! # The warped dimension: exclusion plus label moments
 //!
 //! The canonical key normalises each level's descendant labels by the
-//! *level epoch* — the warped-iterator stamp of the last label write at
+//! *level epoch* `e` — the warped-iterator stamp of the last label write at
 //! that level — so key equality means "labels shifted uniformly per level"
-//! (by the period for live levels, by zero for frozen ones).  A digest that
-//! mixed in raw warped-dim values would break under either shift; a digest
-//! that mixed in deltas from the epoch could not be maintained
-//! incrementally, because every access moves the epoch and would dirty the
-//! digests of *all* occupied sets.  Dropping the warped-dim value is
-//! invariant under **any** uniform per-level shift — live, frozen, or
-//! anything the key might factor out in the future — at zero incremental
-//! cost.  The discrimination this gives up is partly recovered soundly:
-//! two consecutive occupied lines labelled by the *same* node are either
-//! both descendants of the warping loop or both stale, so their warped-dim
-//! difference survives every transformation the key factors out (the shift
-//! cancels pairwise) and can be hashed without risking a missed match.
+//! (by the period for live levels, by zero for frozen ones).  A per-set
+//! digest cannot mix in the deltas `x - e` incrementally: every access
+//! moves the epoch, so it would dirty the digests of *all* occupied sets.
+//! The set digests therefore drop the warped-dim value, which is invariant
+//! under any uniform per-level shift at zero incremental cost.  Two
+//! consecutive occupied lines labelled by the *same* node are either both
+//! descendants of the warping loop or both stale, so their warped-dim
+//! difference survives every shift the key factors out and is hashed too.
+//!
+//! Exclusion alone cannot tell a uniform label shift (which the key
+//! accepts) from a non-uniform one (which it rejects), and that is the
+//! common collision on kernels that never warp.  The warped dimension
+//! re-enters through label moments: per level, per access node and per
+//! tracked dimension, the count `c`, sum `S1` and sum of squares `S2` of
+//! the labels' warped-dim values, updated on every label write (one label
+//! out, one in — O(1), whatever the epoch does).  Moments *can* be taken
+//! relative to the epoch at attempt time, because the normalisation is a
+//! polynomial in `e` over the stored sums: `Σ(x - e) = S1 - c·e` and
+//! `Σ(x - e)² = S2 - 2e·S1 + c·e²`.  [`match_fingerprint`] mixes these in
+//! for the warping loop's descendant nodes and the raw `(c, S1, S2)` for
+//! the others (whose labels the key keeps absolute).  Equal keys imply
+//! equal multisets of normalised labels per level and node, hence equal
+//! moments (all arithmetic wraps, so the identities hold modulo 2⁶⁴), so
+//! soundness is kept.
+//!
+//! One class of equal-key states is deliberately left out of the
+//! guarantee: the key does not encode blocks, so a state whose stale lines
+//! sit next to lines shifted by a *non-zero* block shift keeps its key
+//! while its block differences change.  No warp is lost there — a warp
+//! with a non-zero shift requires every line of a moving level to shift
+//! (see [`plan_warp`](crate::plan::plan_warp)) — so the filter stays
+//! neutral on every count.
 //!
 //! The level fingerprint is the wrapping **sum** of the per-set digests.
 //! Summation is commutative, so rotating the sets — which permutes them —
@@ -74,7 +96,7 @@
 //! sets touched since the last match attempt — not to the total number of
 //! sets of an 8 MiB L3.
 
-use crate::symstate::SymLine;
+use crate::symstate::{SymLevel, SymLine};
 use cache_model::{CacheState, MemBlock, PolicyState, SetState};
 use std::collections::{HashMap, HashSet};
 
@@ -364,6 +386,173 @@ impl FingerprintTracker {
     }
 }
 
+/// Per-node moments of the labels of one symbolic level, on the tracked
+/// warp-candidate dimensions (see the module documentation).
+///
+/// Only the dimensions set in the mask are kept: the simulator tracks the
+/// dimensions of the loops that can attempt a match, so a SCoP without such
+/// a loop keeps an empty mask and every update returns at once.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LabelMoments {
+    /// Bit `d` set: dimension `d` is tracked.
+    dims: u32,
+    /// The moments of each access node's labels, by node id.
+    nodes: Vec<NodeMoments>,
+}
+
+/// The label moments of one access node: the line count and, per tracked
+/// dimension, the wrapping sum and sum of squares of the labels' values.
+#[derive(Clone, Copy, Debug, Default)]
+struct NodeMoments {
+    count: i64,
+    sum: [i64; MAX_TRACKED_DIMS],
+    sum_sq: [i64; MAX_TRACKED_DIMS],
+}
+
+impl LabelMoments {
+    /// The tracked-dimension mask: bit `d` set means dimension `d` is kept.
+    pub(crate) fn dims(&self) -> u32 {
+        self.dims
+    }
+
+    /// Tracks the dimensions of `dims` (bits at or above
+    /// [`MAX_TRACKED_DIMS`] are ignored) and recomputes the moments of
+    /// `state`'s labels when the mask changed.
+    pub(crate) fn track(&mut self, dims: u32, state: &CacheState<SymLine>) {
+        let dims = dims & ((1 << MAX_TRACKED_DIMS) - 1);
+        if dims != self.dims {
+            self.dims = dims;
+            self.rebuild(state);
+        }
+    }
+
+    /// Recomputes the moments from scratch over the occupied lines of
+    /// `state`.  O(occupied lines).
+    pub(crate) fn rebuild(&mut self, state: &CacheState<SymLine>) {
+        self.nodes.clear();
+        if self.dims == 0 {
+            return;
+        }
+        for (_, set) in state.occupied_entries() {
+            for line in set.lines().iter().flatten() {
+                self.insert(line);
+            }
+        }
+    }
+
+    /// Adds one label (a line that was written).
+    pub(crate) fn insert(&mut self, line: &SymLine) {
+        self.update(line, i64::wrapping_add);
+    }
+
+    /// Removes one label (a line that was relabelled or evicted).
+    pub(crate) fn remove(&mut self, line: &SymLine) {
+        self.update(line, i64::wrapping_sub);
+    }
+
+    fn update(&mut self, line: &SymLine, op: fn(i64, i64) -> i64) {
+        if self.dims == 0 {
+            return;
+        }
+        if line.node >= self.nodes.len() {
+            self.nodes.resize(line.node + 1, NodeMoments::default());
+        }
+        let m = &mut self.nodes[line.node];
+        m.count = op(m.count, 1);
+        let mut dims = self.dims;
+        while dims != 0 {
+            let d = dims.trailing_zeros() as usize;
+            dims &= dims - 1;
+            if let Some(&x) = line.iter.get(d) {
+                m.sum[d] = op(m.sum[d], x);
+                m.sum_sq[d] = op(m.sum_sq[d], x.wrapping_mul(x));
+            }
+        }
+    }
+
+    /// Mixes the moments on dimension `dim` into `h`, node by node: for
+    /// the `descendants` relative to `normalizer` (`c`, `S1 - c·e`,
+    /// `S2 - 2e·S1 + c·e²`), for every other node as they are.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that `dim` is tracked.
+    fn mix_into(
+        &self,
+        mut h: u64,
+        dim: usize,
+        normalizer: i64,
+        descendants: &HashSet<usize>,
+    ) -> u64 {
+        debug_assert!(
+            self.dims & (1 << dim) != 0,
+            "dimension {dim} is not tracked"
+        );
+        let e = normalizer;
+        for (node, m) in self.nodes.iter().enumerate() {
+            if m.count == 0 {
+                continue;
+            }
+            let (c, s1, s2) = (m.count, m.sum[dim], m.sum_sq[dim]);
+            let (s1, s2) = if descendants.contains(&node) {
+                (
+                    s1.wrapping_sub(c.wrapping_mul(e)),
+                    s2.wrapping_sub(e.wrapping_mul(2).wrapping_mul(s1))
+                        .wrapping_add(c.wrapping_mul(e).wrapping_mul(e)),
+                )
+            } else {
+                (s1, s2)
+            };
+            for v in [node as u64, c as u64, s1 as u64, s2 as u64] {
+                h = mix(h, v);
+            }
+        }
+        h
+    }
+}
+
+/// The warp-match fingerprint of `levels` for an attempt at a loop of
+/// depth `warp_depth` whose descendant access nodes are `descendants`,
+/// with one label normaliser per level — the same arguments as
+/// [`CanonicalKey::of_levels`](crate::key::CanonicalKey::of_levels), and
+/// equal whenever those keys are equal.  Per level it combines the rolling
+/// set-digest sum with the label moments on the warped dimension.
+///
+/// `None` when the warped dimension is beyond [`MAX_TRACKED_DIMS`] or its
+/// moments are not tracked; the caller then falls back to exact keys.
+///
+/// # Panics
+///
+/// Panics if `normalizers` is shorter than `levels`.
+pub fn match_fingerprint(
+    levels: &mut [SymLevel],
+    descendants: &HashSet<usize>,
+    warp_depth: usize,
+    normalizers: &[i64],
+) -> Option<u64> {
+    assert!(
+        normalizers.len() >= levels.len(),
+        "one normaliser per level"
+    );
+    let dim = warp_depth - 1;
+    if dim >= MAX_TRACKED_DIMS {
+        return None;
+    }
+    let mut combined: u64 = 0x517c_c1b7_2722_0a95;
+    for (level, &e) in levels.iter_mut().zip(normalizers) {
+        if level.label_moments().dims() & (1 << dim) == 0 {
+            return None;
+        }
+        level.prepare_match();
+        combined = mix(combined, level.fingerprint(dim).expect("dim is tracked"));
+        combined = level
+            .label_moments()
+            .mix_into(combined, dim, e, descendants);
+        combined = combined.rotate_left(17);
+    }
+    Some(finalize(combined))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,6 +620,42 @@ mod tests {
             digest_set(&d).word(1),
             "other words still see the absolute value"
         );
+    }
+
+    #[test]
+    fn label_moments_tell_non_uniform_from_uniform_label_shifts() {
+        use crate::key::CanonicalKey;
+        use cache_model::{AccessKind, CacheConfig};
+        // One node's lines in two different sets, so no same-node pair
+        // digests their spacing; the last label write stamps the epoch.
+        let state = |first: i64, second: i64| {
+            let config = CacheConfig::with_sets(4, 2, 64, ReplacementPolicy::Lru);
+            let mut level = SymLevel::new(config);
+            level.track_moments(1);
+            level.access(MemBlock(0), AccessKind::Read, 0, &[first]);
+            level.access(MemBlock(1), AccessKind::Read, 0, &[second]);
+            level
+        };
+        let descendants: HashSet<usize> = [0].into_iter().collect();
+        let summary = |level: &mut SymLevel| {
+            let levels = std::slice::from_mut(level);
+            let e = [levels[0].epoch_at(0).expect("stamped")];
+            let key = CanonicalKey::of_levels(levels, &descendants, 1, &e);
+            let fp = match_fingerprint(levels, &descendants, 1, &e).expect("tracked");
+            (key, fp, levels[0].fingerprint(0).expect("tracked"))
+        };
+        let (key, fp, digests) = summary(&mut state(5, 9));
+        // Only the first label moves: the key rejects the pair, and the
+        // set digests alone (which drop the warped dimension) cannot tell.
+        let (skewed_key, skewed_fp, skewed_digests) = summary(&mut state(6, 9));
+        assert_ne!(key, skewed_key);
+        assert_eq!(digests, skewed_digests, "the collision the moments resolve");
+        assert_ne!(fp, skewed_fp);
+        // Both labels move by one: the key accepts, and so must the
+        // fingerprint.
+        let (shifted_key, shifted_fp, _) = summary(&mut state(6, 10));
+        assert_eq!(key, shifted_key);
+        assert_eq!(fp, shifted_fp);
     }
 
     #[test]

@@ -19,12 +19,14 @@
 //! A match attempt no longer builds an exact [`CanonicalKey`] up front.
 //! Instead it runs in two phases:
 //!
-//! 1. **Fingerprint phase** — the rolling level fingerprints (see
+//! 1. **Fingerprint phase** — the rolling level fingerprints and the
+//!    per-node label moments on the warped dimension (see
 //!    [`fingerprint`](crate::fingerprint)) of all levels are combined and
-//!    looked up in the per-loop match map.  Fingerprints are maintained
-//!    incrementally with dirty-set tracking, so this phase costs time
-//!    proportional to the sets touched since the last attempt — not to the
-//!    size of the outermost cache level.
+//!    looked up in the per-loop match map.  Both are maintained
+//!    incrementally (dirty-set tracking for the digests, one update per
+//!    label write for the moments), so this phase costs time proportional
+//!    to the sets touched since the last attempt — not to the size of the
+//!    outermost cache level.
 //! 2. **Exact phase** — only on a fingerprint hit is the exact canonical
 //!    key constructed (itself sparse: O(occupied sets)) and compared.
 //!    Soundness is unchanged: a warp still requires exact key equality,
@@ -34,6 +36,11 @@
 //! stores only the fingerprint; the second sighting attaches the key; the
 //! third sighting can match exactly and warp.  Loops whose states never
 //! recur therefore never pay for key construction at all.
+//!
+//! Every attempt that does not end in a warp — dismissed by the
+//! fingerprint, remembered, or rejected by the exact key — counts once
+//! toward [`WarpingOptions::max_fruitless_attempts`].  A filter that
+//! dismisses cheaply must not let attempts run without bound.
 //!
 //! # Relative-label addressing
 //!
@@ -50,13 +57,15 @@
 //! during warm-up, and normalised by the current iterator their keys would
 //! drift apart forever even though the states are physically identical.
 
-use crate::fingerprint::MAX_TRACKED_DIMS;
+use crate::fingerprint::{match_fingerprint, MAX_TRACKED_DIMS};
 use crate::key::CanonicalKey;
 use crate::plan::{plan_warp, LevelWarpMode};
 use crate::symstate::SymLevel;
 use cache_model::{LevelStats, MemBlock, MemoryConfig};
 use polyhedra::Aff;
-use scop::{compile, AccessNode, AccessRun, CompiledLoop, CompiledNode, Scop, WalkVisitor};
+use scop::{
+    compile, AccessNode, AccessRun, CompiledLoop, CompiledNode, CompiledScop, Scop, WalkVisitor,
+};
 use simulate::SimulationResult;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -198,15 +207,17 @@ pub struct WarpingOptions {
     /// this threshold are simulated without attempting to warp: the possible
     /// gain cannot amortise the cost of key construction.
     pub min_trip_count: i64,
-    /// Warping is abandoned for a loop node after this many *costly* match
-    /// attempts (across all executions of the node) that did not lead to a
-    /// warp.  An attempt counts as costly when it paid for an exact
-    /// canonical-key construction, or when it could not even remember the
-    /// state because the match map was full; attempts that the fingerprint
-    /// filter dismisses cheaply do not count, since the knob exists to cap
-    /// overhead, not opportunity.  This bounds the cost on loops whose
-    /// states never recur while still allowing matches that only appear
-    /// after the cache has warmed up.
+    /// Warping is abandoned for a loop node after this many match attempts
+    /// (across all executions of the node, and across runs of one SCoP)
+    /// that did not lead to a warp.  Every such attempt counts exactly
+    /// once, whatever it cost: one the fingerprint dismissed, one that
+    /// remembered its state, one whose exact key did not match, one the
+    /// full match map could not remember.  A warp resets the count.  This
+    /// bounds the cost on loops whose states never recur while still
+    /// allowing matches that only appear after the cache has warmed up:
+    /// the default of 1024 covers, on the backoff cadence, the ~10k
+    /// iterations a streaming stencil takes to recur in a 32 KiB PLRU
+    /// cache.
     pub max_fruitless_attempts: u64,
     /// Whether match attempts run the cheap fingerprint phase before
     /// constructing exact canonical keys.  Disabling it restores the
@@ -229,7 +240,7 @@ impl WarpingOptions {
         backoff_interval: 16,
         max_map_entries: 4096,
         min_trip_count: 24,
-        max_fruitless_attempts: 512,
+        max_fruitless_attempts: 1024,
         fingerprint_filter: true,
     };
 
@@ -304,14 +315,15 @@ struct Counters {
     level: Vec<LevelStats>,
 }
 
-/// Per-loop data that is invariant across the loop's entries: the access
-/// nodes below it, their id set, and the common per-iteration address
-/// coefficient on the loop's dimension (if any).  Computed on a loop's
-/// first entry and kept for the rest of the run.
+/// Per-loop data that is invariant across the loop's entries: the loop's
+/// dimension, the access nodes below it, their id set, and their common
+/// per-iteration address coefficient on that dimension.  Computed before
+/// the walk for every loop that can attempt a match (see [`loop_infos`]).
 struct LoopInfo<'a> {
+    dim: usize,
     nodes: Vec<&'a AccessNode>,
     ids: HashSet<usize>,
-    uniform_coeff: Option<i64>,
+    uniform_coeff: i64,
 }
 
 /// One live loop entry: the per-entry state of Algorithm 2.
@@ -337,11 +349,10 @@ struct WarpRun<'s, 'a> {
     sim: &'s mut WarpingSimulator,
     /// Identifies the SCoP in the simulator's per-loop budget map.
     scop_key: usize,
-    /// The access nodes, by id.
-    nodes: Vec<&'a AccessNode>,
     /// The access address functions, by id.
     addresses: Vec<Aff>,
-    /// Per-loop facts, by [`CompiledLoop::id`], computed on first entry.
+    /// Per-loop facts, by [`CompiledLoop::id`]; `None` for loops that can
+    /// never attempt a match.
     loops: Vec<Option<LoopInfo<'a>>>,
     /// The live loop entries, innermost last.
     entries: Vec<LoopEntry>,
@@ -484,11 +495,24 @@ impl WarpingSimulator {
         let mut nodes: Vec<&AccessNode> = scop.access_nodes().collect();
         nodes.sort_by_key(|a| a.id);
         let compiled = compile(scop);
+        let loops = loop_infos(&compiled, &nodes);
+        // Label moments are kept on exactly the dimensions that some loop
+        // may attempt a match on, and only for the fingerprint filter.
+        let mut dims = 0u32;
+        if self.options.fingerprint_filter {
+            for info in loops.iter().flatten() {
+                if info.dim < MAX_TRACKED_DIMS {
+                    dims |= 1 << info.dim;
+                }
+            }
+        }
+        for level in &mut self.levels {
+            level.track_moments(dims);
+        }
         let mut run = WarpRun {
             scop_key: scop.roots().as_ptr() as usize,
             addresses: nodes.iter().map(|a| a.address.clone()).collect(),
-            nodes,
-            loops: (0..compiled.num_loops()).map(|_| None).collect(),
+            loops,
             entries: Vec::new(),
             sim: self,
         };
@@ -519,26 +543,6 @@ impl WarpingSimulator {
             accesses: self.accesses,
             level: self.levels.iter().map(|l| l.stats).collect(),
         }
-    }
-
-    /// Combines the per-level rolling fingerprints for a warp attempt at
-    /// the given depth.  `None` when the warped dimension is beyond the
-    /// tracked range, in which case the caller falls back to exhaustive
-    /// exact-key matching.
-    fn combined_fingerprint(&mut self, warp_depth: usize) -> Option<u64> {
-        let dim = warp_depth - 1;
-        if dim >= MAX_TRACKED_DIMS {
-            return None;
-        }
-        let mut combined: u64 = 0x517c_c1b7_2722_0a95;
-        for level in &mut self.levels {
-            level.prepare_match();
-            let fp = level.fingerprint(dim).expect("dim is tracked");
-            combined = (combined ^ fp)
-                .wrapping_mul(0x0000_0100_0000_01b3)
-                .rotate_left(17);
-        }
-        Some(combined)
     }
 
     /// The per-level label normalisers for a match attempt at loop depth
@@ -577,31 +581,30 @@ impl WarpingSimulator {
         v1: i64,
         v_last: i64,
         map: &mut HashMap<u64, MatchEntry>,
-        fruitless: &mut u64,
     ) -> Option<i64> {
         self.match_attempts += 1;
         // The per-level label normalisers of this attempt's key: the level
         // epochs (or the current iterator value, see `epoch_normalizers`).
         let normalizers = self.epoch_normalizers(depth, v1);
-        // Phase 1: the cheap rolling fingerprint (when enabled and the
-        // warped dimension is tracked); otherwise fall back to hashing the
-        // exact key, i.e. the exhaustive pipeline.  Only attempts that pay
-        // for an exact key — or that cannot even be remembered — count
-        // toward the fruitless-attempt budget: the budget caps overhead,
-        // and fingerprint-dismissed attempts are nearly free.
+        // Phase 1: the cheap fingerprint (when enabled and the warped
+        // dimension is tracked); otherwise fall back to hashing the exact
+        // key, i.e. the exhaustive pipeline.
         let filtered = self.options.fingerprint_filter;
-        let (slot, mut current_key) =
-            match filtered.then(|| self.combined_fingerprint(depth)).flatten() {
-                Some(fp) => (fp, None),
-                None => {
-                    *fruitless += 1;
-                    let key = self.build_key(&info.ids, depth, &normalizers);
-                    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                    key.hash(&mut hasher);
-                    (hasher.finish(), Some(key))
-                }
-            };
+        let fingerprint = filtered
+            .then(|| match_fingerprint(&mut self.levels, &info.ids, depth, &normalizers))
+            .flatten();
+        let (slot, mut current_key) = match fingerprint {
+            Some(fp) => (fp, None),
+            None => {
+                let key = self.build_key(&info.ids, depth, &normalizers);
+                let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                key.hash(&mut hasher);
+                (hasher.finish(), Some(key))
+            }
+        };
         let Some(entry) = map.get(&slot) else {
+            // Remember the state for a later sighting, unless the map is
+            // full: then the attempt can never enable a warp.
             if map.len() < self.options.max_map_entries {
                 map.insert(
                     slot,
@@ -612,16 +615,11 @@ impl WarpingSimulator {
                         key: current_key,
                     },
                 );
-            } else {
-                // Pure overhead with no future benefit: the state cannot be
-                // remembered, so this attempt can never enable a warp.
-                *fruitless += 1;
             }
             return None;
         };
         if current_key.is_none() {
             self.fingerprint_hits += 1;
-            *fruitless += 1;
         }
         // Phase 2: the exact canonical key decides.
         let key = current_key
@@ -652,10 +650,7 @@ impl WarpingSimulator {
         // the level saw no traffic during the chunk (the repeating access
         // pattern never descends to it, so it stays untouched across the
         // window).  Any other per-level shift is inconsistent with a warp.
-        let byte_shift_per_period = info
-            .uniform_coeff
-            .expect("attempts are gated on a uniform coefficient")
-            * period;
+        let byte_shift_per_period = info.uniform_coeff * period;
         let chunk = self.counters();
         let mut modes = Vec::with_capacity(self.levels.len());
         for (idx, (&now, &then)) in normalizers.iter().zip(&entry.epochs).enumerate() {
@@ -804,12 +799,8 @@ impl WalkVisitor for WarpRun<'_, '_> {
     /// and extending it to negative periods is an open ROADMAP item.
     fn enter(&mut self, l: &CompiledLoop, first: i64, last: i64) {
         let sim = &*self.sim;
-        let warpable = l.stride > 0 && {
-            let info = self.loops[l.id].get_or_insert_with(|| loop_info(l, &self.nodes));
-            (last - first) / l.stride + 1 >= sim.options.min_trip_count
-                && !info.nodes.is_empty()
-                && info.uniform_coeff.is_some()
-        };
+        let warpable = self.loops[l.id].is_some()
+            && (last - first) / l.stride + 1 >= sim.options.min_trip_count;
         // Donor hints demote the eager phase on depths a similar run
         // already probed exhaustively without a single warp; a depth the
         // donor saw warp (or never saw at all) keeps the cold schedule.
@@ -863,7 +854,7 @@ impl WalkVisitor for WarpRun<'_, '_> {
         }
         let info = loops[l.id]
             .as_ref()
-            .expect("warpable loops computed their info on entry");
+            .expect("warpable loops can attempt a match");
         let depth = l.depth;
         match sim.attempt_match(
             info,
@@ -873,25 +864,28 @@ impl WalkVisitor for WarpRun<'_, '_> {
             iv[depth - 1],
             entry.last,
             &mut entry.map,
-            &mut entry.fruitless,
         ) {
             Some(warped) => {
                 entry.fruitless = 0;
                 // Iterator units advance by `stride` per iteration.
                 (warped / l.stride) as u64
             }
-            None => 0,
+            None => {
+                entry.fruitless += 1;
+                0
+            }
         }
     }
 }
 
-/// The facts of loop `l`: its descendant access nodes (looked up by id
-/// in `nodes`), their id set, and their common per-iteration byte-shift
-/// coefficient on the loop's dimension — `None` if they differ, in which
-/// case warping at the loop can never satisfy the uniform-shift
-/// condition.
-fn loop_info<'a>(l: &CompiledLoop, nodes: &[&'a AccessNode]) -> LoopInfo<'a> {
-    fn collect<'a>(
+/// The facts of every loop of `compiled`, by [`CompiledLoop::id`]: `Some`
+/// for the loops that can attempt a match — an increasing iterator, at
+/// least one access below, and one common per-iteration byte-shift
+/// coefficient on the loop's dimension for all of them (without it,
+/// warping at the loop can never satisfy the uniform-shift condition).
+/// Access nodes are looked up by id in `nodes`.
+fn loop_infos<'a>(compiled: &CompiledScop, nodes: &[&'a AccessNode]) -> Vec<Option<LoopInfo<'a>>> {
+    fn accesses_below<'a>(
         children: &[CompiledNode],
         by_id: &[&'a AccessNode],
         out: &mut Vec<&'a AccessNode>,
@@ -899,25 +893,40 @@ fn loop_info<'a>(l: &CompiledLoop, nodes: &[&'a AccessNode]) -> LoopInfo<'a> {
         for child in children {
             match child {
                 CompiledNode::Access(a) => out.push(by_id[a.id]),
-                CompiledNode::Loop(inner) => collect(inner.children(), by_id, out),
+                CompiledNode::Loop(inner) => accesses_below(inner.children(), by_id, out),
             }
         }
     }
-    let mut below = Vec::new();
-    collect(l.children(), nodes, &mut below);
-    let dim = l.depth - 1;
-    let mut uniform_coeff = below.first().map(|a| a.address.coeff(dim));
-    if below
-        .iter()
-        .any(|a| Some(a.address.coeff(dim)) != uniform_coeff)
-    {
-        uniform_coeff = None;
+    fn visit<'a>(
+        children: &[CompiledNode],
+        by_id: &[&'a AccessNode],
+        out: &mut [Option<LoopInfo<'a>>],
+    ) {
+        for child in children {
+            let CompiledNode::Loop(l) = child else {
+                continue;
+            };
+            let mut below = Vec::new();
+            accesses_below(l.children(), by_id, &mut below);
+            let dim = l.depth - 1;
+            let uniform = below
+                .first()
+                .map(|a| a.address.coeff(dim))
+                .filter(|&c| l.stride > 0 && below.iter().all(|a| a.address.coeff(dim) == c));
+            if let Some(uniform_coeff) = uniform {
+                out[l.id] = Some(LoopInfo {
+                    dim,
+                    ids: below.iter().map(|a| a.id).collect(),
+                    nodes: below,
+                    uniform_coeff,
+                });
+            }
+            visit(l.children(), by_id, out);
+        }
     }
-    LoopInfo {
-        ids: below.iter().map(|a| a.id).collect(),
-        nodes: below,
-        uniform_coeff,
-    }
+    let mut out: Vec<_> = (0..compiled.num_loops()).map(|_| None).collect();
+    visit(compiled.roots(), nodes, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -1271,31 +1280,58 @@ mod tests {
     #[test]
     fn fruitless_budgets_carry_over_across_runs_of_one_scop() {
         // A stream into a cache that never evicts: every line adds to the
-        // state, so no two attempts match, and with exhaustive keys every
-        // attempt is costly.  The first run exhausts the small budget; a
+        // state, so no two attempts match.  Every fruitless attempt counts
+        // once, with or without the fingerprint filter: the first run
+        // exhausts the small budget in exactly that many attempts, and a
         // second run of the same SCoP must start from the exhausted
         // budget (no new attempts) rather than probe the loop again.
         let scop = parse_scop("double A[300]; for (i = 0; i < 300; i++) A[i] = A[i];").unwrap();
         let memory =
             WarpingMemory::from(CacheConfig::with_sets(1, 256, 64, ReplacementPolicy::Lru));
-        let options = WarpingOptions {
-            fingerprint_filter: false,
-            max_fruitless_attempts: 8,
-            ..WarpingOptions::default()
-        };
-        let mut sim = WarpingSimulator::new(memory).with_options(options);
-        let first = sim.run(&scop);
-        assert_eq!(first.match_attempts, 8, "the budget runs out");
-        assert_eq!(first.warps, 0, "no state recurs");
-        let second = sim.run(&scop);
-        assert_eq!(
-            second.match_attempts, first.match_attempts,
-            "an exhausted budget carries over to the next run"
+        for fingerprint_filter in [false, true] {
+            let options = WarpingOptions {
+                fingerprint_filter,
+                max_fruitless_attempts: 8,
+                ..WarpingOptions::default()
+            };
+            let mut sim = WarpingSimulator::new(memory.clone()).with_options(options);
+            let first = sim.run(&scop);
+            assert_eq!(first.match_attempts, 8, "the budget runs out");
+            assert_eq!(first.warps, 0, "no state recurs");
+            let second = sim.run(&scop);
+            assert_eq!(
+                second.match_attempts, first.match_attempts,
+                "an exhausted budget carries over to the next run"
+            );
+            assert_eq!(second.result.accesses, 2 * first.result.accesses);
+            // A different SCoP (here: a copy) starts with a fresh budget.
+            let third = sim.run(&scop.clone());
+            assert_eq!(third.match_attempts, 16, "filter {fingerprint_filter}");
+        }
+    }
+
+    #[test]
+    fn cheaply_dismissed_attempts_count_toward_the_budget() {
+        // With the filter on, most attempts on a stream whose states never
+        // recur are dismissed by the fingerprint alone, without an exact
+        // key; they still count, so the budget runs out after exactly that
+        // many attempts.
+        let scop = parse_scop("double A[4000]; for (i = 0; i < 4000; i++) A[i] = A[i];").unwrap();
+        let memory =
+            WarpingMemory::from(CacheConfig::with_sets(1, 1024, 64, ReplacementPolicy::Lru));
+        let outcome = WarpingSimulator::new(memory)
+            .with_options(WarpingOptions {
+                max_fruitless_attempts: 20,
+                ..WarpingOptions::default()
+            })
+            .run(&scop);
+        assert_eq!(outcome.warps, 0);
+        assert_eq!(outcome.match_attempts, 20);
+        assert!(
+            outcome.exact_key_builds < outcome.match_attempts / 2,
+            "{} key builds",
+            outcome.exact_key_builds
         );
-        assert_eq!(second.result.accesses, 2 * first.result.accesses);
-        // A different SCoP (here: a copy) starts with a fresh budget.
-        let third = sim.run(&scop.clone());
-        assert!(third.match_attempts > second.match_attempts);
     }
 
     #[test]

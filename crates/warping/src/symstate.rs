@@ -23,11 +23,13 @@
 //! the touched sets next to a shared empty template), so a [`SymLevel`]
 //! reads its **occupied-set view straight from the store** — canonical keys
 //! and warp plans never iterate over the (possibly millions of) empty sets
-//! of a big L3 — and adds one derived structure of its own: a
+//! of a big L3 — and adds two derived structures of its own: a
 //! [`FingerprintTracker`] of per-set digests and rolling level
-//! fingerprints, kept fresh with dirty-set tracking.
+//! fingerprints, kept fresh with dirty-set tracking, and the per-node
+//! label moments of its labels on the tracked warp-candidate
+//! dimensions, updated on every label write.
 
-use crate::fingerprint::FingerprintTracker;
+use crate::fingerprint::{FingerprintTracker, LabelMoments};
 use cache_model::{AccessKind, CacheConfig, CacheState, LevelStats, MemBlock, SetState};
 use polyhedra::Aff;
 use std::collections::HashSet;
@@ -62,6 +64,8 @@ pub struct SymLevel {
     pub stats: LevelStats,
     /// Incrementally maintained per-set digests and level fingerprints.
     tracker: FingerprintTracker,
+    /// Per-node label moments on the tracked dimensions.
+    moments: LabelMoments,
 }
 
 impl SymLevel {
@@ -77,6 +81,7 @@ impl SymLevel {
             mru_set: 0,
             stats: LevelStats::default(),
             tracker,
+            moments: LabelMoments::default(),
         }
     }
 
@@ -99,30 +104,31 @@ impl SymLevel {
         let hit = match found {
             Some(way) => {
                 let set = self.state.set_mut(set_idx);
-                set.on_hit(policy, way);
+                let way = set.on_hit(policy, way);
                 // The paper's SymUpSet replaces the hit line's symbolic block
                 // by the freshly accessed one.
-                let way = set
-                    .find(|l| l.block == block)
-                    .expect("the hit block remains cached");
                 let line = set.line_mut(way).expect("occupied line");
+                self.moments.remove(line);
                 line.node = node;
                 line.iter.clear();
                 line.iter.extend_from_slice(iter);
+                self.moments.insert(line);
                 self.state.stamp_epoch(iter);
                 self.tracker.mark_dirty(set_idx);
                 true
             }
             None => {
                 if kind != AccessKind::Write || self.config.write_allocate() {
-                    self.state.set_mut(set_idx).on_miss_insert(
-                        policy,
-                        SymLine {
-                            block,
-                            node,
-                            iter: iter.to_vec(),
-                        },
-                    );
+                    let line = SymLine {
+                        block,
+                        node,
+                        iter: iter.to_vec(),
+                    };
+                    self.moments.insert(&line);
+                    let (_, evicted) = self.state.set_mut(set_idx).on_miss_insert(policy, line);
+                    if let Some(evicted) = evicted {
+                        self.moments.remove(&evicted);
+                    }
                     self.state.stamp_epoch(iter);
                     self.tracker.mark_dirty(set_idx);
                 }
@@ -144,12 +150,14 @@ impl SymLevel {
         self.state.epoch().get(dim).copied()
     }
 
-    /// Resets the level to an empty state.
+    /// Resets the level to an empty state.  The tracked moment
+    /// dimensions stay as they are.
     pub fn reset(&mut self) {
         self.state = CacheState::new(&self.config);
         self.mru_set = 0;
         self.stats = LevelStats::default();
         self.tracker = FingerprintTracker::new(&self.state);
+        self.moments.rebuild(&self.state);
     }
 
     /// Sorted indices of the cache sets holding at least one line, read
@@ -176,6 +184,21 @@ impl SymLevel {
     /// Requires a preceding [`SymLevel::prepare_match`].
     pub fn fingerprint(&self, excluded_dim: usize) -> Option<u64> {
         self.tracker.fingerprint(excluded_dim)
+    }
+
+    /// Keeps label moments — per node, the count, sum and sum of squares
+    /// of the labels' values (see [`fingerprint`](crate::fingerprint)) —
+    /// on the dimensions set in `dims` (bit `d` for dimension `d`),
+    /// recomputing them over the current labels when the mask changes.
+    /// An empty mask — the default — keeps none and costs nothing per
+    /// access.
+    pub fn track_moments(&mut self, dims: u32) {
+        self.moments.track(dims, &self.state);
+    }
+
+    /// The per-node label moments on the tracked dimensions.
+    pub(crate) fn label_moments(&self) -> &LabelMoments {
+        &self.moments
     }
 
     /// Applies a warp of `chunks` periods to the level: every line whose
@@ -278,6 +301,7 @@ impl SymLevel {
         // and its too-shallow stamp deliberately stays put so later
         // attempts keep using the same fallback.
         self.state.shift_epoch(warp_depth - 1, chunks * period);
+        self.moments.rebuild(&self.state);
     }
 
     /// The concrete cache state (dropping symbolic labels).

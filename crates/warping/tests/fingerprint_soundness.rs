@@ -1,12 +1,17 @@
 //! Property tests of the incremental fingerprint machinery.
 //!
-//! Two properties protect the two-phase match pipeline:
+//! Three properties protect the two-phase match pipeline:
 //!
 //! 1. **Incrementality** — after *any* interleaving of accesses and warp
 //!    applications, the dirty-set-tracked rolling fingerprint of a
 //!    [`SymLevel`] equals a from-scratch rebuild over the raw cache state,
-//!    and the occupied-set list matches the state's actual occupancy.
-//! 2. **Filter neutrality** — fingerprint-filtered matching produces
+//!    its label moments equal a rebuild too, and the occupied-set list
+//!    matches the state's actual occupancy.
+//! 2. **Soundness** — equal canonical keys imply equal match fingerprints,
+//!    over cache shapes, policies, hierarchy depths and warped dimensions,
+//!    before and after warps: the fingerprint may only dismiss states the
+//!    exact key would reject.
+//! 3. **Filter neutrality** — fingerprint-filtered matching produces
 //!    bit-identical per-level statistics to the exhaustive
 //!    key-per-attempt pipeline on random kernels, geometries and policies
 //!    (warp opportunities may be found at slightly different iterations;
@@ -17,9 +22,9 @@ use polyhedra::Aff;
 use proptest::prelude::*;
 use scop::parse_scop;
 use simulate::simulate_memory;
-use std::collections::HashSet;
-use warping::fingerprint::rebuild_level_fingerprint;
-use warping::{SymLevel, WarpingOptions, WarpingSimulator};
+use std::collections::{HashMap, HashSet};
+use warping::fingerprint::{match_fingerprint, rebuild_level_fingerprint};
+use warping::{CanonicalKey, SymLevel, WarpingOptions, WarpingSimulator};
 
 const NUM_NODES: usize = 3;
 const LINE_SIZE: u64 = 8;
@@ -63,6 +68,50 @@ fn arb_step() -> impl Strategy<Value = Step> {
         })
 }
 
+/// Per-node affine address functions over two iterators, moving by
+/// `warped_coeff` bytes per unit of dimension `dim` and by `LINE_SIZE`
+/// per unit of the other, so a warp on `dim` shifts every cached line
+/// uniformly.
+fn two_dim_addresses(dim: usize, warped_coeff: i64) -> Vec<Aff> {
+    (0..NUM_NODES)
+        .map(|n| {
+            Aff::var(2, dim)
+                .scale(warped_coeff)
+                .add(&Aff::var(2, 1 - dim).scale(LINE_SIZE as i64))
+                .offset((n * 4096) as i64 * 8)
+        })
+        .collect()
+}
+
+/// One access to an inclusive hierarchy: each level is consulted only
+/// when the previous one missed, as in the simulator's walk.
+fn access(levels: &mut [SymLevel], block: MemBlock, kind: AccessKind, node: usize, iter: &[i64]) {
+    for level in levels {
+        if level.access(block, kind, node, iter) {
+            break;
+        }
+    }
+}
+
+/// The exact key and the match fingerprint of a hierarchy for an attempt
+/// at loop depth `depth` whose iterator stands at `v`, normalised by the
+/// level epochs as the simulator does.
+fn key_and_fingerprint(
+    levels: &mut [SymLevel],
+    descendants: &HashSet<usize>,
+    depth: usize,
+    v: i64,
+) -> (CanonicalKey, u64) {
+    let normalizers: Vec<i64> = levels
+        .iter()
+        .map(|l| l.epoch_at(depth - 1).unwrap_or(v))
+        .collect();
+    let key = CanonicalKey::of_levels(levels, descendants, depth, &normalizers);
+    let fp = match_fingerprint(levels, descendants, depth, &normalizers)
+        .expect("the warped dimension is tracked");
+    (key, fp)
+}
+
 fn arb_policy() -> impl Strategy<Value = ReplacementPolicy> {
     prop::sample::select(ReplacementPolicy::ALL.to_vec())
 }
@@ -80,6 +129,7 @@ proptest! {
         let addresses = addresses();
         let descendants: HashSet<usize> = (0..NUM_NODES).collect();
         let mut level = SymLevel::new(CacheConfig::with_sets(sets, assoc, LINE_SIZE, policy));
+        level.track_moments(1);
         let total = steps.len();
         for (i, step) in steps.into_iter().enumerate() {
             match step {
@@ -126,7 +176,107 @@ proptest! {
                 level.state.occupied_indices().collect::<Vec<_>>(),
                 "occupied-set view diverged from the state"
             );
+            // The incrementally kept label moments equal a rebuild (which
+            // re-tracking forces) under every normaliser.
+            let levels = std::slice::from_mut(&mut level);
+            let before = match_fingerprint(levels, &descendants, 1, &[i as i64]);
+            levels[0].track_moments(0);
+            levels[0].track_moments(1);
+            let after = match_fingerprint(levels, &descendants, 1, &[i as i64]);
+            prop_assert!(before.is_some());
+            prop_assert_eq!(before, after, "label moments diverged from a rebuild");
         }
+    }
+
+    #[test]
+    fn equal_keys_imply_equal_fingerprints(
+        steps in proptest::collection::vec(arb_step(), 1..60),
+        policy in arb_policy(),
+        sets in prop::sample::select(vec![1usize, 2, 4, 8]),
+        assoc in prop::sample::select(vec![2usize, 4]),
+        depth in prop::sample::select(vec![1usize, 2]),
+        num_levels in prop::sample::select(vec![1usize, 2]),
+        shift in 1i64..6,
+        stale in prop::bool::ANY,
+    ) {
+        // Two hierarchies run the same history, the second with every
+        // descendant's warped-dim label shifted by `shift` (and its block
+        // with it): their keys are equal whenever the shift is all that
+        // tells them apart.  With a stale node in the mix — not a
+        // descendant of the warping loop, at a fixed address, never
+        // shifted — the addresses do not move with the warped iterator,
+        // as for a time loop: only then can a state holding stale lines
+        // warp at all.  Every state of the first hierarchy is also
+        // compared with all its earlier states.
+        let dim = depth - 1;
+        let warped_coeff = if stale { 0 } else { LINE_SIZE as i64 };
+        let addresses = two_dim_addresses(dim, warped_coeff);
+        let descendants: HashSet<usize> = (0..NUM_NODES).collect();
+        let hierarchy = || -> Vec<SymLevel> {
+            (0..num_levels)
+                .map(|l| {
+                    let mut level = SymLevel::new(CacheConfig::with_sets(
+                        sets << l,
+                        assoc,
+                        LINE_SIZE,
+                        policy,
+                    ));
+                    level.track_moments(1 << dim);
+                    level
+                })
+                .collect()
+        };
+        let (mut a, mut b) = (hierarchy(), hierarchy());
+        let mut seen: HashMap<CanonicalKey, u64> = HashMap::new();
+        let mut equal_pairs = 0;
+        let mut v = 0i64;
+        for step in steps {
+            match step {
+                Step::Access { node, iter, write } => {
+                    let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                    let block_of = |node: usize, label: &[i64; 2]| {
+                        if node == NUM_NODES {
+                            MemBlock(1 << 20)
+                        } else {
+                            MemBlock(addresses[node].eval(label) as u64 / LINE_SIZE)
+                        }
+                    };
+                    let (node, label) = if stale && node == 0 {
+                        (NUM_NODES, [iter % 3, iter % 3])
+                    } else {
+                        let mut label = [iter / 4, iter / 4];
+                        label[dim] = iter;
+                        (node, label)
+                    };
+                    let mut shifted = label;
+                    if node < NUM_NODES {
+                        shifted[dim] += shift;
+                    }
+                    access(&mut a, block_of(node, &label), kind, node, &label);
+                    access(&mut b, block_of(node, &shifted), kind, node, &shifted);
+                    v = label[dim];
+                }
+                Step::Warp { period, chunks } => {
+                    let byte_shift = warped_coeff * period * chunks;
+                    for level in a.iter_mut().chain(b.iter_mut()) {
+                        level.apply_warp(&addresses, &descendants, depth, period, chunks, byte_shift, 1);
+                    }
+                    v += period * chunks;
+                }
+            }
+            let (key_a, fp_a) = key_and_fingerprint(&mut a, &descendants, depth, v);
+            let (key_b, fp_b) = key_and_fingerprint(&mut b, &descendants, depth, v + shift);
+            if key_a == key_b {
+                equal_pairs += 1;
+                prop_assert_eq!(fp_a, fp_b, "equal keys, different fingerprints");
+            }
+            if let Some(&earlier) = seen.get(&key_a) {
+                prop_assert_eq!(earlier, fp_a, "a recurring key changed its fingerprint");
+            }
+            seen.insert(key_a, fp_a);
+        }
+        // Without a stale node the shift is all that tells the two apart.
+        prop_assert!(stale || equal_pairs > 0, "the shifted history never had an equal key");
     }
 
     #[test]

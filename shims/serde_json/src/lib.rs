@@ -6,6 +6,11 @@
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
+/// How deeply arrays and objects may nest in parsed text, as in
+/// `serde_json`'s default.  The parser recurses once per level, so without
+/// a limit a line of `[`s would overflow the stack.
+pub const RECURSION_LIMIT: usize = 128;
+
 /// A serialization or parse error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Error(String);
@@ -39,6 +44,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -131,6 +137,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -171,6 +179,25 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
+        if matches!(self.peek(), Some(b'[' | b'{')) {
+            if self.depth == RECURSION_LIMIT {
+                return Err(Error(format!(
+                    "recursion limit exceeded: more than {RECURSION_LIMIT} nested \
+                     arrays or objects at offset {}",
+                    self.pos
+                )));
+            }
+            self.depth += 1;
+            let value = self.parse_container();
+            self.depth -= 1;
+            return value;
+        }
+        self.parse_container()
+    }
+
+    /// Parses one value; arrays and objects recurse into
+    /// [`Parser::parse_value`], which guards the nesting depth.
+    fn parse_container(&mut self) -> Result<Value, Error> {
         match self.peek() {
             Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
@@ -356,5 +383,21 @@ mod tests {
             Value::Str("éz".into()),
         ]);
         assert_eq!(from_str::<Value>(text).unwrap(), expected);
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let at_limit = from_str::<Value>(&nested(RECURSION_LIMIT)).unwrap();
+        assert!(matches!(at_limit, Value::Array(_)));
+        let err = from_str::<Value>(&nested(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // A hostile line of openers fails cleanly instead of overflowing
+        // the stack, and so does deep object nesting.
+        let err = from_str::<Value>(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let objects = r#"{"a":"#.repeat(RECURSION_LIMIT + 1);
+        let err = from_str::<Value>(&objects).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
     }
 }

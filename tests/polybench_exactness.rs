@@ -146,6 +146,29 @@ fn stencils_warp_the_vast_majority_of_accesses_at_scale() {
 }
 
 #[test]
+fn never_warping_gemm_builds_few_exact_keys() {
+    // gemm never warps at SMALL on the three-level test system.  Its match
+    // attempts must be dismissed by the fingerprint, not by exact keys
+    // that cannot match (before label moments it built 512), and the
+    // counts must stay classic's.
+    let scop = Kernel::Gemm.build(Dataset::Small).expect("kernel builds");
+    let memory = MemoryConfig::new(vec![
+        l1(ReplacementPolicy::Lru),
+        CacheConfig::new(1024 * 1024, 16, 64, ReplacementPolicy::Lru),
+        CacheConfig::new(8 * 1024 * 1024, 16, 64, ReplacementPolicy::Lru),
+    ])
+    .expect("valid hierarchy");
+    let reference = simulate_memory(&scop, &memory);
+    let outcome = WarpingSimulator::new(memory).run(&scop);
+    assert_eq!(outcome.result, reference);
+    assert!(
+        outcome.exact_key_builds <= 128,
+        "{} exact key builds",
+        outcome.exact_key_builds
+    );
+}
+
+#[test]
 fn hardware_reference_pipeline_works_on_kernel_sources() {
     let reference = HardwareReference::default();
     for kernel in [Kernel::Atax, Kernel::Doitgen] {
