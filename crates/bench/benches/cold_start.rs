@@ -1,12 +1,13 @@
 //! Cold-start cost vs. outer-level size.
 //!
-//! Before the sparse cache-state store, `CacheState::new` allocated every
-//! (empty) set up front: constructing a simulator over a 64 MiB outer level
-//! cost ~6 ms — once per `SimRequest`, multiplying under batch fan-out —
-//! even when the kernel would touch a handful of sets.  With the sparse
-//! store (touched sets only, plus one shared empty-set template),
-//! construction is O(1) in the number of sets, so both series below must
-//! stay flat across the 256 KiB → 64 MiB sweep:
+//! When every cache set was allocated up front, constructing a simulator
+//! over a 64 MiB outer level cost ~6 ms — once per `SimRequest`,
+//! multiplying under batch fan-out — even when the kernel would touch a
+//! handful of sets.  Warping's symbolic store is sparse (touched sets
+//! only), and the flat concrete store under classic, trace and sampling
+//! allocates one page-table word per 64 sets up front (1024 words for a
+//! 64 MiB level) and the tag rows of a 64-set page on its first fill.  So
+//! both series below must stay flat across the 256 KiB → 64 MiB sweep:
 //!
 //! * `construct` — bare state construction plus a first access, for the
 //!   warping simulator and the classic `MultiLevelSystem`;
@@ -84,7 +85,7 @@ fn bench_cold_start(criterion: &mut Criterion) {
             |b, memory| {
                 b.iter(|| {
                     let mut state = cache_model::MultiLevelState::new(memory);
-                    black_box(state.access_block(memory, MemBlock(0)))
+                    black_box(state.access_block(MemBlock(0)))
                 })
             },
         );

@@ -1406,6 +1406,7 @@ fn serve_command(args: &[String]) {
             Ok((stream, _peer)) => {
                 stream
                     .set_nonblocking(false)
+                    .and_then(|()| stream.set_nodelay(true))
                     .unwrap_or_else(|e| die(&format!("cannot configure a connection: {e}")));
                 let reader = std::io::BufReader::new(
                     stream

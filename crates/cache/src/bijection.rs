@@ -6,7 +6,7 @@
 //! induce, and their application to cache states.
 
 use crate::block::MemBlock;
-use crate::cache::{CacheConfig, CacheState};
+use crate::flat::FlatCache;
 use crate::multilevel::MultiLevelState;
 
 /// A bijection on memory blocks given by a shift: `π(b) = b + delta`.
@@ -44,43 +44,17 @@ impl ShiftBijection {
         self.delta.rem_euclid(num_sets as i64)
     }
 
-    /// Applies the bijection to a whole cache state (Equation 5):
-    /// `π(c) = λ s. π(c(π_Set⁻¹(s)))`.  O(occupied sets): the induced set
-    /// bijection is a rotation, which the sparse state applies natively.
-    pub fn apply_to_cache(
-        &self,
-        config: &CacheConfig,
-        state: &CacheState<MemBlock>,
-    ) -> CacheState<MemBlock> {
-        let rot = self.set_rotation(config.num_sets());
-        state.rotate_sets(rot).map_payloads(|b| self.apply(*b))
+    /// Applies the bijection to a whole cache level (Equation 5):
+    /// `π(c) = λ s. π(c(π_Set⁻¹(s)))`.  O(occupied sets): every occupied
+    /// set moves to its rotated index with its blocks renamed.
+    pub fn apply_to_cache(&self, state: &FlatCache) -> FlatCache {
+        state.map_blocks(|b| self.apply(b))
     }
 
     /// Applies the bijection to an N-level state (Corollary 5 generalized):
     /// every level is renamed with the same block bijection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration and the state disagree on the number of
-    /// levels.
-    pub fn apply_to_levels(
-        &self,
-        config: &crate::MemoryConfig,
-        state: &MultiLevelState<MemBlock>,
-    ) -> MultiLevelState<MemBlock> {
-        assert_eq!(
-            config.depth(),
-            state.depth(),
-            "the configuration and the state must have the same number of levels"
-        );
-        MultiLevelState::from_levels(
-            config
-                .levels()
-                .iter()
-                .zip(state.levels())
-                .map(|(level, cache)| self.apply_to_cache(level, cache))
-                .collect(),
-        )
+    pub fn apply_to_levels(&self, state: &MultiLevelState) -> MultiLevelState {
+        state.map_blocks(|b| self.apply(b))
     }
 }
 
@@ -92,7 +66,7 @@ pub fn rotate_index(index: usize, offset: i64, num_sets: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ReplacementPolicy;
+    use crate::{CacheConfig, ReplacementPolicy};
 
     #[test]
     fn shift_preserves_index_partition() {
@@ -121,18 +95,18 @@ mod tests {
     fn data_independence_example() {
         let config = CacheConfig::with_sets(4, 2, 64, ReplacementPolicy::Lru);
         let pi = ShiftBijection::new(1);
-        let mut c = CacheState::new(&config);
+        let mut c = FlatCache::new(&config);
         for b in [0u64, 1, 4, 5, 2] {
-            c.access_block(&config, MemBlock(b));
+            c.access(MemBlock(b), true);
         }
         let b = MemBlock(6);
         // π(UpCache(c, b))
         let mut updated = c.clone();
-        updated.access_block(&config, b);
-        let lhs = pi.apply_to_cache(&config, &updated);
+        updated.access(b, true);
+        let lhs = pi.apply_to_cache(&updated);
         // UpCache(π(c), π(b))
-        let mut rhs = pi.apply_to_cache(&config, &c);
-        rhs.access_block(&config, pi.apply(b));
+        let mut rhs = pi.apply_to_cache(&c);
+        rhs.access(pi.apply(b), true);
         assert_eq!(lhs, rhs);
     }
 }

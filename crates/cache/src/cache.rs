@@ -1,6 +1,6 @@
 //! Set-associative caches with modulo placement.
 
-use crate::block::{Access, AccessKind, MemBlock};
+use crate::block::MemBlock;
 use crate::policy::ReplacementPolicy;
 use crate::set::SetState;
 use std::collections::BTreeMap;
@@ -202,7 +202,16 @@ impl LevelStats {
     }
 }
 
-/// The state of a set-associative cache, generic over the line payload.
+/// The sparse state of a set-associative cache, generic over the line
+/// payload: warping's symbolic store.
+///
+/// The warping simulator keeps a symbolic label (the access node and
+/// iteration that last touched the line) next to every block, rotates
+/// whole levels when it applies a warp, and hashes the occupied sets into
+/// keys and fingerprints.  It stores those lines here, one [`SetState`]
+/// per touched set.  Simulators that track blocks only use the flat
+/// [`FlatCache`](crate::FlatCache) instead, whose per-access cost is a
+/// few array reads, not a map lookup and a `Vec` shuffle.
 ///
 /// # Sparse representation
 ///
@@ -214,8 +223,8 @@ impl LevelStats {
 ///
 /// * construction is O(1) regardless of the number of sets (a 64 MiB level
 ///   costs the same as a 256 KiB one),
-/// * [`clone`](Clone::clone), [`CacheState::map_payloads`] and
-///   [`CacheState::rotate_sets`] are O(occupied sets),
+/// * [`clone`](Clone::clone) and [`CacheState::map_payloads`] are
+///   O(occupied sets),
 /// * memory is proportional to the working set, not the cache capacity.
 ///
 /// Equality and hashing ignore *how* a state was touched: a set that was
@@ -236,8 +245,7 @@ impl LevelStats {
 /// an iteration vector stamped by the caller on every payload write (fill
 /// or hit promotion) via [`CacheState::stamp_epoch`] — relative to which
 /// per-line labels can be renormalised.  The epoch is carried through
-/// [`clone`](Clone::clone), [`CacheState::map_payloads`],
-/// [`CacheState::rotate_sets`] and [`CacheState::permute_sets`], survives
+/// [`clone`](Clone::clone) and [`CacheState::map_payloads`], survives
 /// [`CacheState::take_entries`] (which drains the sets, not the clock), and
 /// can be advanced wholesale with [`CacheState::shift_epoch`] when every
 /// payload timestamp moves uniformly (a warp).
@@ -417,96 +425,19 @@ impl<B: Clone> CacheState<B> {
             epoch: self.epoch.clone(),
         }
     }
-
-    /// Rotates the cache sets by `offset` positions: set `i` of `self` ends
-    /// up at set `(i + offset) mod num_sets` of the result.  This is the
-    /// set bijection a block shift induces (Equation 5 of the paper) and
-    /// costs O(occupied sets): only touched entries move.
-    pub fn rotate_sets(&self, offset: i64) -> CacheState<B> {
-        let n = self.num_sets as i64;
-        CacheState {
-            num_sets: self.num_sets,
-            template: self.template.clone(),
-            occupied: self
-                .occupied
-                .iter()
-                .map(|(&i, s)| (((i as i64 + offset).rem_euclid(n)) as usize, s.clone()))
-                .collect(),
-            epoch: self.epoch.clone(),
-        }
-    }
-
-    /// Permutes the cache sets: set `i` of the result is set `perm(i)` of
-    /// `self`.  Only the occupied sets are cloned, but `perm` is evaluated
-    /// for every index (a general permutation cannot be inverted without
-    /// enumerating it) — for the rotation case use the O(occupied)
-    /// [`CacheState::rotate_sets`] instead.
-    pub fn permute_sets(&self, perm: impl Fn(usize) -> usize) -> CacheState<B> {
-        let mut occupied = BTreeMap::new();
-        if !self.occupied.is_empty() {
-            for new in 0..self.num_sets {
-                if let Some(set) = self.occupied.get(&perm(new)) {
-                    occupied.insert(new, set.clone());
-                }
-            }
-        }
-        CacheState {
-            num_sets: self.num_sets,
-            template: self.template.clone(),
-            occupied,
-            epoch: self.epoch.clone(),
-        }
-    }
-}
-
-impl CacheState<MemBlock> {
-    /// Classifies and performs a read access to a memory block
-    /// (`ClCache` followed by `UpCache`).  Returns `true` for a hit.
-    pub fn access_block(&mut self, config: &CacheConfig, block: MemBlock) -> bool {
-        // A read always fills on a miss, so touching the set is warranted
-        // either way.
-        let idx = config.index(block);
-        self.set_mut(idx).access(config.policy(), block)
-    }
-
-    /// Classifies a block without updating the state (`ClCache`).
-    pub fn classify_block(&self, config: &CacheConfig, block: MemBlock) -> bool {
-        self.set(config.index(block)).classify(&block)
-    }
-
-    /// Classifies and performs an access, honouring the write-allocation
-    /// policy: on a write miss to a no-write-allocate cache the block is not
-    /// inserted.  Returns `true` for a hit.
-    pub fn access(&mut self, config: &CacheConfig, access: Access) -> bool {
-        let block = config.block_of_address(access.address);
-        let idx = config.index(block);
-        let fill = access.kind != AccessKind::Write || config.write_allocate();
-        // Look the set up without touching it first: a write miss that does
-        // not allocate must leave an untouched set untouched.
-        let Some(set) = self.occupied.get_mut(&idx) else {
-            if fill {
-                self.set_mut(idx).on_miss_insert(config.policy(), block);
-            }
-            return false;
-        };
-        match set.find(|b| *b == block) {
-            Some(line) => {
-                set.on_hit(config.policy(), line);
-                true
-            }
-            None => {
-                if fill {
-                    set.on_miss_insert(config.policy(), block);
-                }
-                false
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlatCache;
+
+    /// One write-allocate access to `block` through the generic store.
+    fn touch(cache: &mut CacheState<MemBlock>, config: &CacheConfig, block: MemBlock) {
+        cache
+            .set_mut(config.index(block))
+            .access(config.policy(), block);
+    }
 
     #[test]
     fn geometry() {
@@ -541,29 +472,29 @@ mod tests {
         // Figure 1 of the paper: fully-associative, 2 lines, LRU; iteration 1
         // accesses A[0], A[1], B[0] — three misses — leaving {A[1], B[0]}.
         let config = CacheConfig::fully_associative(2, 1, ReplacementPolicy::Lru);
-        let mut cache = CacheState::new(&config);
+        let mut cache = FlatCache::new(&config);
         let a = |i: u64| MemBlock(i);
         let b = |i: u64| MemBlock(1000 + i);
-        assert!(!cache.access_block(&config, a(0)));
-        assert!(!cache.access_block(&config, a(1)));
-        assert!(!cache.access_block(&config, b(0)));
+        assert!(!cache.access(a(0), true));
+        assert!(!cache.access(a(1), true));
+        assert!(!cache.access(b(0), true));
         // Iteration 2: A[1] hits, A[2] and B[1] miss.
-        assert!(cache.access_block(&config, a(1)));
-        assert!(!cache.access_block(&config, a(2)));
-        assert!(!cache.access_block(&config, b(1)));
+        assert!(cache.access(a(1), true));
+        assert!(!cache.access(a(2), true));
+        assert!(!cache.access(b(1), true));
     }
 
     #[test]
     fn no_write_allocate_skips_fill() {
-        let config =
-            CacheConfig::fully_associative(2, 64, ReplacementPolicy::Lru).no_write_allocate();
-        let mut cache = CacheState::new(&config);
-        assert!(!cache.access(&config, Access::write(0)));
-        // The write miss did not allocate — not even a touched-set entry.
+        let config = CacheConfig::fully_associative(2, 64, ReplacementPolicy::Lru);
+        let mut cache = FlatCache::new(&config);
+        // A write miss under no-write-allocate does not fill.
+        assert!(!cache.access(MemBlock(0), false));
         assert_eq!(cache.occupied_len(), 0);
-        assert!(!cache.access(&config, Access::read(0)));
-        // The read allocated; now it hits.
-        assert!(cache.access(&config, Access::read(0)));
+        assert!(!cache.access(MemBlock(0), true));
+        // The read allocated; now it hits, a non-filling write included.
+        assert!(cache.access(MemBlock(0), true));
+        assert!(cache.access(MemBlock(0), false));
     }
 
     #[test]
@@ -581,20 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn permute_sets_rotation() {
-        let config = CacheConfig::with_sets(4, 1, 1, ReplacementPolicy::Lru);
-        let mut cache = CacheState::new(&config);
-        cache.access_block(&config, MemBlock(0));
-        cache.access_block(&config, MemBlock(1));
-        // Rotate by one: new set i holds what old set (i + 1) mod 4 held.
-        let rotated = cache.permute_sets(|i| (i + 1) % 4);
-        assert_eq!(rotated.set(0).lines()[0], Some(MemBlock(1)));
-        assert_eq!(rotated.set(3).lines()[0], Some(MemBlock(0)));
-        // rotate_sets(-1) is the same bijection, computed sparsely.
-        assert_eq!(rotated, cache.rotate_sets(-1));
-    }
-
-    #[test]
     fn construction_is_sparse_and_sets_answer_with_the_template() {
         // A "64 MiB" geometry: construction must not allocate per set.
         let config = CacheConfig::new(64 * 1024 * 1024, 16, 64, ReplacementPolicy::Plru);
@@ -602,7 +519,7 @@ mod tests {
         assert_eq!(cache.num_sets(), 65536);
         assert_eq!(cache.occupied_len(), 0);
         assert!(cache.set(12345).is_empty());
-        cache.access_block(&config, MemBlock(7));
+        touch(&mut cache, &config, MemBlock(7));
         assert_eq!(cache.occupied_indices().collect::<Vec<_>>(), vec![7]);
         let (idx, set) = cache.occupied_entries().next().unwrap();
         assert_eq!(idx, 7);
@@ -631,8 +548,8 @@ mod tests {
     fn take_entries_drains_and_insert_set_lands() {
         let config = CacheConfig::with_sets(4, 1, 1, ReplacementPolicy::Lru);
         let mut cache = CacheState::new(&config);
-        cache.access_block(&config, MemBlock(1));
-        cache.access_block(&config, MemBlock(2));
+        touch(&mut cache, &config, MemBlock(1));
+        touch(&mut cache, &config, MemBlock(2));
         let entries = cache.take_entries();
         assert_eq!(entries.len(), 2);
         assert_eq!(cache.occupied_len(), 0);
@@ -648,7 +565,7 @@ mod tests {
         let config = CacheConfig::with_sets(4, 1, 1, ReplacementPolicy::Lru);
         let mut cache: CacheState<MemBlock> = CacheState::new(&config);
         assert!(cache.epoch().is_empty(), "fresh states carry no stamp");
-        cache.access_block(&config, MemBlock(1));
+        touch(&mut cache, &config, MemBlock(1));
         cache.stamp_epoch(&[3, 7]);
         assert_eq!(cache.epoch(), &[3, 7]);
         cache.shift_epoch(1, 5);
@@ -657,8 +574,6 @@ mod tests {
         cache.shift_epoch(2, 100);
         assert_eq!(cache.epoch(), &[3, 12]);
         // Carried through the sparse-store transformations ...
-        assert_eq!(cache.rotate_sets(1).epoch(), &[3, 12]);
-        assert_eq!(cache.permute_sets(|i| i).epoch(), &[3, 12]);
         assert_eq!(cache.map_payloads(|b| b.0).epoch(), &[3, 12]);
         assert_eq!(cache.clone().epoch(), &[3, 12]);
         // ... surviving a drain (the epoch is a clock, not content) ...

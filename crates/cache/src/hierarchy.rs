@@ -20,7 +20,7 @@ mod tests {
         let config = tiny_hierarchy();
         let mut h = MultiLevelState::new(&config);
         let b = MemBlock(0);
-        let first = h.access_block(&config, b);
+        let first = h.access_block(b);
         assert_eq!(
             first,
             LookupOutcome {
@@ -28,7 +28,7 @@ mod tests {
                 hit: false
             }
         );
-        let second = h.access_block(&config, b);
+        let second = h.access_block(b);
         assert_eq!(second.hit_at(0), Some(true));
         assert_eq!(second.hit_at(1), None);
     }
@@ -40,9 +40,9 @@ mod tests {
         // Fill L1 set 0 beyond its associativity so block 0 gets evicted from
         // L1 but remains in the larger L2.
         for i in [0u64, 2, 4] {
-            h.access_block(&config, MemBlock(i));
+            h.access_block(MemBlock(i));
         }
-        let again = h.access_block(&config, MemBlock(0));
+        let again = h.access_block(MemBlock(0));
         assert_eq!(again.hit_at(0), Some(false));
         assert_eq!(again.hit_at(1), Some(true));
     }
@@ -51,11 +51,11 @@ mod tests {
     fn no_write_allocate_hierarchy() {
         let config = tiny_hierarchy().with_write_policy(WritePolicy::WriteThroughNoAllocate);
         let mut h = MultiLevelState::new(&config);
-        let out = h.access(&config, Access::write(0));
+        let out = h.access(Access::write(0));
         assert_eq!(out.hit_at(0), Some(false));
         assert_eq!(out.hit_at(1), Some(false));
         // Nothing was allocated anywhere.
-        let read = h.access(&config, Access::read(0));
+        let read = h.access(Access::read(0));
         assert_eq!(read.hit_at(0), Some(false));
         assert_eq!(read.hit_at(1), Some(false));
     }
@@ -66,7 +66,7 @@ mod tests {
         let mut h = MultiLevelState::new(&config);
         let mut stats = [LevelStats::default(); 2];
         for i in [0u64, 1, 0, 2, 0] {
-            h.access_block(&config, MemBlock(i)).record_into(&mut stats);
+            h.access_block(MemBlock(i)).record_into(&mut stats);
         }
         assert_eq!(stats[0].accesses, 5);
         assert_eq!(stats[0].misses, 3);

@@ -392,6 +392,11 @@ impl Serialize for CacheConfig {
     }
 }
 
+/// The largest set count a serialized cache level may declare: 2²⁶ sets
+/// (a 4 GiB direct-mapped cache of 64-byte lines; a 64 MiB 16-way level
+/// has 2¹⁶), whose concrete store starts with a 4 MiB page table.
+const MAX_SETS: usize = 1 << 26;
+
 impl Deserialize for CacheConfig {
     fn deserialize_value(value: &Value) -> Result<Self, String> {
         let field = |key: &str| {
@@ -411,6 +416,12 @@ impl Deserialize for CacheConfig {
         let policy = ReplacementPolicy::deserialize_value(field("policy")?)?;
         if sets == 0 || assoc == 0 || line_size == 0 {
             return Err("cache parameters must be positive".to_string());
+        }
+        // The concrete store allocates one page-table word per 64 sets up
+        // front, so an unbounded set count from the wire could ask for
+        // gigabytes before the first access.
+        if sets > MAX_SETS {
+            return Err(format!("`sets` must be at most {MAX_SETS}"));
         }
         Ok(CacheConfig::with_sets(sets, assoc, line_size, policy))
     }
@@ -515,6 +526,17 @@ mod tests {
         let memory = MemoryConfig::new(vec![l1(), l2(), l3]).unwrap();
         assert_eq!(memory.depth(), 3);
         assert!(memory.as_single().is_none());
+    }
+
+    #[test]
+    fn json_rejects_set_counts_past_the_bound() {
+        let level = |sets: u64| {
+            format!(r#"{{"sets": {sets}, "assoc": 1, "line_size": 64, "policy": "lru"}}"#)
+        };
+        let at_bound: CacheConfig = serde_json::from_str(&level(MAX_SETS as u64)).unwrap();
+        assert_eq!(at_bound.num_sets(), MAX_SETS);
+        let err = serde_json::from_str::<CacheConfig>(&level(1 << 40)).unwrap_err();
+        assert!(err.to_string().contains("at most"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The N-level cache state: one inclusive access/classify path shared by
 //! every simulator.
 //!
-//! [`MultiLevelState`] is an ordered list of per-level states (L1 first)
-//! driven by a [`MemoryConfig`].  On a miss at level `i` the access is
+//! [`MultiLevelState`] is an ordered list of per-level [`FlatCache`]s (L1
+//! first) built from a [`MemoryConfig`].  On a miss at level `i` the access is
 //! forwarded to level `i + 1`; the hierarchy-wide write policy decides
 //! whether write misses allocate.
 
 use crate::block::{Access, AccessKind, MemBlock};
-use crate::cache::{CacheState, LevelStats};
+use crate::cache::LevelStats;
+use crate::flat::FlatCache;
 use crate::memory::MemoryConfig;
 
 /// The outcome of an access walking an N-level hierarchy from the L1
@@ -43,59 +44,24 @@ impl LookupOutcome {
     }
 }
 
-/// Walks one access from the L1 outwards over `(config, state)` pairs: each
-/// level is consulted until one hits.  With `fill == false` (a write under
-/// no-write-allocate) a missing block is classified without being inserted,
-/// while a present block is still accessed so the replacement-policy state
-/// advances.
-fn walk_access<'a, I>(levels: I, block: MemBlock, fill: bool) -> LookupOutcome
-where
-    I: Iterator<Item = (&'a crate::cache::CacheConfig, &'a mut CacheState<MemBlock>)>,
-{
-    let mut consulted = 0;
-    let mut hit = false;
-    for (config, state) in levels {
-        consulted += 1;
-        hit = if fill {
-            state.access_block(config, block)
-        } else {
-            state.classify_block(config, block) && state.access_block(config, block)
-        };
-        if hit {
-            break;
-        }
-    }
-    LookupOutcome {
-        levels_consulted: consulted,
-        hit,
-    }
+/// The concrete state of an N-level non-inclusive non-exclusive hierarchy:
+/// one [`FlatCache`] per level, L1 first, plus the line size and the
+/// hierarchy-wide write policy it was built with.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct MultiLevelState {
+    levels: Vec<FlatCache>,
+    line_size: u64,
+    allocate_writes: bool,
 }
 
-/// The state of an N-level non-inclusive non-exclusive hierarchy, generic
-/// over the line payload.  Level 0 is the L1.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct MultiLevelState<B> {
-    levels: Vec<CacheState<B>>,
-}
-
-impl<B: Clone> MultiLevelState<B> {
-    /// An empty hierarchy with the geometry of `config`.  O(depth), not
-    /// O(total sets): each level is a sparse [`CacheState`] that allocates
-    /// nothing until a set is touched.
+impl MultiLevelState {
+    /// An empty hierarchy with the geometry and write policy of `config`.
     pub fn new(config: &MemoryConfig) -> Self {
         MultiLevelState {
-            levels: config.levels().iter().map(CacheState::new).collect(),
+            levels: config.levels().iter().map(FlatCache::new).collect(),
+            line_size: config.line_size(),
+            allocate_writes: config.write_policy().allocates_on_write(),
         }
-    }
-
-    /// Assembles a state from per-level cache states (L1 first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` is empty.
-    pub fn from_levels(levels: Vec<CacheState<B>>) -> Self {
-        assert!(!levels.is_empty(), "a hierarchy needs at least one level");
-        MultiLevelState { levels }
     }
 
     /// Number of cache levels.
@@ -104,49 +70,79 @@ impl<B: Clone> MultiLevelState<B> {
     }
 
     /// The per-level states, L1 first.
-    pub fn levels(&self) -> &[CacheState<B>] {
+    pub fn levels(&self) -> &[FlatCache] {
         &self.levels
     }
 
     /// The state of level `idx` (0 is the L1).
-    pub fn level(&self, idx: usize) -> &CacheState<B> {
+    pub fn level(&self, idx: usize) -> &FlatCache {
         &self.levels[idx]
     }
 
-    /// Mutable access to the state of level `idx`.
-    pub fn level_mut(&mut self, idx: usize) -> &mut CacheState<B> {
-        &mut self.levels[idx]
+    /// Renames every cached block of every level with `rename` (see
+    /// [`FlatCache::map_blocks`]).
+    pub fn map_blocks(&self, mut rename: impl FnMut(MemBlock) -> MemBlock) -> MultiLevelState {
+        MultiLevelState {
+            levels: self
+                .levels
+                .iter()
+                .map(|level| level.map_blocks(&mut rename))
+                .collect(),
+            ..*self
+        }
     }
 
-    /// Mutable access to all per-level states, L1 first.
-    pub fn levels_mut(&mut self) -> &mut [CacheState<B>] {
-        &mut self.levels
+    /// The block holding byte address `addr`.
+    #[inline]
+    fn block_of(&self, addr: u64) -> MemBlock {
+        if self.line_size.is_power_of_two() {
+            MemBlock(addr >> self.line_size.trailing_zeros())
+        } else {
+            MemBlock(addr / self.line_size)
+        }
     }
-}
 
-impl MultiLevelState<MemBlock> {
+    /// Walks one access from the L1 outwards: each level is consulted
+    /// until one hits.  With `fill == false` (a write under
+    /// no-write-allocate) a missing block is classified without being
+    /// inserted, while a present block is still accessed so the
+    /// replacement-policy state advances.  With a `stamp`, every level the
+    /// access writes (all consulted levels when filling, else the hitting
+    /// one) records it as its epoch.
+    #[inline]
+    fn walk(&mut self, block: MemBlock, fill: bool, stamp: Option<i64>) -> LookupOutcome {
+        let mut consulted = 0;
+        let mut hit = false;
+        for level in &mut self.levels {
+            consulted += 1;
+            hit = level.access(block, fill);
+            if let Some(stamp) = stamp.filter(|_| fill || hit) {
+                level.stamp_epoch(stamp);
+            }
+            if hit {
+                break;
+            }
+        }
+        LookupOutcome {
+            levels_consulted: consulted,
+            hit,
+        }
+    }
+
     /// Performs a read access to a block (Equation 24 of the paper,
     /// generalized to N levels): level `i + 1` is only consulted — and
     /// updated — when level `i` misses.
-    pub fn access_block(&mut self, config: &MemoryConfig, block: MemBlock) -> LookupOutcome {
-        walk_access(
-            config.levels().iter().zip(self.levels.iter_mut()),
-            block,
-            true,
-        )
+    pub fn access_block(&mut self, block: MemBlock) -> LookupOutcome {
+        self.walk(block, true, None)
     }
 
     /// Performs an access honouring the hierarchy-wide write policy: under
     /// no-write-allocate, a write is classified at each level without
     /// filling, and forwarded outward on a miss.
-    pub fn access(&mut self, config: &MemoryConfig, access: Access) -> LookupOutcome {
-        let block = config.l1().block_of_address(access.address);
-        let fill = access.kind != AccessKind::Write || config.write_policy().allocates_on_write();
-        walk_access(
-            config.levels().iter().zip(self.levels.iter_mut()),
-            block,
-            fill,
-        )
+    #[inline]
+    pub fn access(&mut self, access: Access) -> LookupOutcome {
+        let fill = access.kind != AccessKind::Write || self.allocate_writes;
+        self.walk(self.block_of(access.address), fill, None)
     }
 
     /// Performs a run of `count` accesses starting at `base` with a
@@ -166,16 +162,16 @@ impl MultiLevelState<MemBlock> {
     ///
     /// The result is bit-identical to calling [`MultiLevelState::access`]
     /// `count` times (the differential suites assert this).
+    #[inline]
     pub fn access_run(
         &mut self,
-        config: &MemoryConfig,
         base: u64,
         stride: i64,
         count: u64,
         kind: AccessKind,
         stats: &mut [LevelStats],
     ) {
-        self.run_impl(config, base, stride, count, kind, None, stats);
+        self.run_impl(base, stride, count, kind, None, stats);
     }
 
     /// The epoch-stamping counterpart of [`MultiLevelState::access_run`]:
@@ -188,10 +184,8 @@ impl MultiLevelState<MemBlock> {
     /// frozen ones.  A run carries one stamp, so the collapsed replays
     /// (which would re-stamp the same value) are idempotent and the
     /// resulting epochs are bit-identical to the unbatched walk.
-    #[allow(clippy::too_many_arguments)]
     pub fn access_run_stamped(
         &mut self,
-        config: &MemoryConfig,
         base: u64,
         stride: i64,
         count: u64,
@@ -199,13 +193,12 @@ impl MultiLevelState<MemBlock> {
         stamp: i64,
         stats: &mut [LevelStats],
     ) {
-        self.run_impl(config, base, stride, count, kind, Some(stamp), stats);
+        self.run_impl(base, stride, count, kind, Some(stamp), stats);
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn run_impl(
         &mut self,
-        config: &MemoryConfig,
         base: u64,
         stride: i64,
         count: u64,
@@ -213,47 +206,37 @@ impl MultiLevelState<MemBlock> {
         stamp: Option<i64>,
         stats: &mut [LevelStats],
     ) {
-        let line = config.l1().line_size() as i64;
-        let fill = kind != AccessKind::Write || config.write_policy().allocates_on_write();
+        let line = self.line_size as i64;
+        let fill = kind != AccessKind::Write || self.allocate_writes;
         let mut addr = base as i64;
         let mut remaining = count;
         while remaining > 0 {
             // Size of the group of consecutive accesses on addr's line.
-            let group = if stride == 0 {
+            let group = if stride == 0 || remaining == 1 {
                 remaining
+            } else if stride.unsigned_abs() >= self.line_size {
+                1
             } else {
-                let line_base = addr.div_euclid(line) * line;
+                let offset = if self.line_size.is_power_of_two() {
+                    addr & (line - 1)
+                } else {
+                    addr.rem_euclid(line)
+                };
                 let span = if stride > 0 {
                     // Accesses before the address reaches the next line.
-                    let gap = line_base + line - addr;
-                    (gap + stride - 1) / stride
+                    (line - offset + stride - 1) / stride
                 } else {
                     // Accesses before the address drops below the line.
-                    (addr - line_base) / -stride + 1
+                    offset / -stride + 1
                 };
                 remaining.min(span as u64)
             };
-            let block = config.l1().block_of_address(addr as u64);
-            let mut outcome = LookupOutcome {
-                levels_consulted: 0,
-                hit: false,
-            };
-            for _ in 0..group.min(2) {
-                outcome = walk_access(
-                    config.levels().iter().zip(self.levels.iter_mut()),
-                    block,
-                    fill,
-                );
+            let block = self.block_of(addr as u64);
+            let mut outcome = self.walk(block, fill, stamp);
+            outcome.record_into(stats);
+            if group > 1 {
+                outcome = self.walk(block, fill, stamp);
                 outcome.record_into(stats);
-                if let Some(stamp) = stamp {
-                    if fill {
-                        for level in self.levels.iter_mut().take(outcome.levels_consulted) {
-                            level.stamp_epoch(&[stamp]);
-                        }
-                    } else if outcome.hit {
-                        self.levels[outcome.levels_consulted - 1].stamp_epoch(&[stamp]);
-                    }
-                }
             }
             // The state is now a fixed point for this block: replicate
             // the last outcome for the rest of the group.
@@ -289,12 +272,12 @@ mod tests {
     fn outer_levels_filter_inner_misses() {
         let config = tiny_three_level();
         let mut state = MultiLevelState::new(&config);
-        let first = state.access_block(&config, MemBlock(0));
+        let first = state.access_block(MemBlock(0));
         assert_eq!(first.levels_consulted, 3);
         assert!(!first.hit);
         assert_eq!(first.hit_at(0), Some(false));
         assert_eq!(first.hit_at(2), Some(false));
-        let second = state.access_block(&config, MemBlock(0));
+        let second = state.access_block(MemBlock(0));
         assert_eq!(second.levels_consulted, 1);
         assert!(second.hit);
         assert_eq!(second.hit_at(1), None);
@@ -307,9 +290,9 @@ mod tests {
         // Fill L1 set 0 beyond its associativity: block 0 is evicted from
         // the L1 but survives in the larger L2.
         for b in [0u64, 2, 4] {
-            state.access_block(&config, MemBlock(b));
+            state.access_block(MemBlock(b));
         }
-        let again = state.access_block(&config, MemBlock(0));
+        let again = state.access_block(MemBlock(0));
         assert_eq!(again.levels_consulted, 2);
         assert!(again.hit);
     }
@@ -318,26 +301,21 @@ mod tests {
     fn no_write_allocate_does_not_fill_any_level() {
         let config = tiny_three_level().with_write_policy(WritePolicy::WriteThroughNoAllocate);
         let mut state = MultiLevelState::new(&config);
-        let write = state.access(&config, Access::write(0));
+        let write = state.access(Access::write(0));
         assert_eq!(write.levels_consulted, 3);
         assert!(!write.hit);
-        let read = state.access(&config, Access::read(0));
+        let read = state.access(Access::read(0));
         assert!(!read.hit, "nothing was allocated anywhere");
     }
 
     /// One stamped access: a run of count 1.
-    fn stamped(state: &mut MultiLevelState<MemBlock>, config: &MemoryConfig, a: Access, t: i64) {
+    fn stamped(state: &mut MultiLevelState, config: &MemoryConfig, a: Access, t: i64) {
         let mut stats = vec![LevelStats::default(); config.depth()];
-        state.access_run_stamped(config, a.address, 0, 1, a.kind, t, &mut stats);
+        state.access_run_stamped(a.address, 0, 1, a.kind, t, &mut stats);
     }
 
-    fn epoch(state: &MultiLevelState<MemBlock>, idx: usize) -> i64 {
-        state
-            .level(idx)
-            .epoch()
-            .first()
-            .copied()
-            .unwrap_or(i64::MIN)
+    fn epoch(state: &MultiLevelState, idx: usize) -> i64 {
+        state.level(idx).epoch().unwrap_or(i64::MIN)
     }
 
     #[test]
@@ -402,26 +380,10 @@ mod tests {
                 let mut batched_stats = vec![LevelStats::default(); 2];
                 let mut unbatched_stats = vec![LevelStats::default(); 2];
                 for (base, stride, count, kind) in runs {
-                    batched.access_run_stamped(
-                        &config,
-                        base,
-                        stride,
-                        count,
-                        kind,
-                        7,
-                        &mut batched_stats,
-                    );
+                    batched.access_run_stamped(base, stride, count, kind, 7, &mut batched_stats);
                     for k in 0..count {
                         let address = (base as i64 + k as i64 * stride) as u64;
-                        unbatched.access_run_stamped(
-                            &config,
-                            address,
-                            0,
-                            1,
-                            kind,
-                            7,
-                            &mut unbatched_stats,
-                        );
+                        unbatched.access_run_stamped(address, 0, 1, kind, 7, &mut unbatched_stats);
                     }
                 }
                 assert_eq!(batched, unbatched, "{policy:?} {write_policy:?}");
@@ -438,12 +400,8 @@ mod tests {
         let config = tiny_three_level();
         let mut state = MultiLevelState::new(&config);
         let mut stats = vec![LevelStats::default(); 3];
-        state
-            .access_block(&config, MemBlock(0))
-            .record_into(&mut stats);
-        state
-            .access_block(&config, MemBlock(0))
-            .record_into(&mut stats);
+        state.access_block(MemBlock(0)).record_into(&mut stats);
+        state.access_block(MemBlock(0)).record_into(&mut stats);
         assert_eq!(stats[0].accesses, 2);
         assert_eq!(stats[0].hits, 1);
         assert_eq!(stats[1].accesses, 1);

@@ -1,6 +1,6 @@
 //! Individual cache sets.
 
-use crate::policy::{PolicyState, ReplacementPolicy};
+use crate::policy::{self, PolicyState, ReplacementPolicy};
 
 /// The state of a single cache set of associativity `k`, generic over the
 /// line payload `B`.
@@ -140,30 +140,7 @@ impl<B: Clone> SetState<B> {
     pub fn on_hit(&mut self, policy: ReplacementPolicy, idx: usize) -> usize {
         assert!(self.lines[idx].is_some(), "hit on an empty line");
         self.version += 1;
-        match policy {
-            ReplacementPolicy::Lru => {
-                // Move the hit line to the front, shifting the younger ones.
-                let hit = self.lines.remove(idx);
-                self.lines.insert(0, hit);
-                return 0;
-            }
-            ReplacementPolicy::Fifo => {
-                // FIFO does not update state on hits.
-            }
-            ReplacementPolicy::Plru => {
-                let PolicyState::PlruBits(bits) = &mut self.policy_state else {
-                    unreachable!("PLRU set without tree bits");
-                };
-                plru_touch(bits, self.lines.len(), idx);
-            }
-            ReplacementPolicy::Qlru => {
-                let PolicyState::Ages(ages) = &mut self.policy_state else {
-                    unreachable!("QLRU set without ages");
-                };
-                ages[idx] = 0;
-            }
-        }
-        idx
+        policy::on_hit(policy, &mut self.lines, self.policy_state.view_mut(), idx)
     }
 
     /// Inserts `payload` after a miss, evicting and returning the victim's
@@ -171,44 +148,13 @@ impl<B: Clone> SetState<B> {
     /// is the position at which the payload now resides.
     pub fn on_miss_insert(&mut self, policy: ReplacementPolicy, payload: B) -> (usize, Option<B>) {
         self.version += 1;
-        match policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                let evicted = self.lines.pop().expect("associativity is positive").clone();
-                self.lines.insert(0, Some(payload));
-                (0, evicted)
-            }
-            ReplacementPolicy::Plru => {
-                let PolicyState::PlruBits(bits) = &mut self.policy_state else {
-                    unreachable!("PLRU set without tree bits");
-                };
-                let victim = match self.lines.iter().position(|l| l.is_none()) {
-                    Some(empty) => empty,
-                    None => plru_victim(bits, self.lines.len()),
-                };
-                let evicted = self.lines[victim].replace(payload);
-                plru_touch(bits, self.lines.len(), victim);
-                (victim, evicted)
-            }
-            ReplacementPolicy::Qlru => {
-                let PolicyState::Ages(ages) = &mut self.policy_state else {
-                    unreachable!("QLRU set without ages");
-                };
-                let victim = match self.lines.iter().position(|l| l.is_none()) {
-                    Some(empty) => empty,
-                    None => loop {
-                        if let Some(v) = ages.iter().position(|&a| a >= 3) {
-                            break v;
-                        }
-                        for a in ages.iter_mut() {
-                            *a = a.saturating_add(1);
-                        }
-                    },
-                };
-                let evicted = self.lines[victim].replace(payload);
-                ages[victim] = 2;
-                (victim, evicted)
-            }
-        }
+        let line = policy::on_fill(
+            policy,
+            &mut self.lines,
+            self.policy_state.view_mut(),
+            Option::is_none,
+        );
+        (line, self.lines[line].replace(payload))
     }
 }
 
@@ -235,41 +181,6 @@ impl<B: Clone + PartialEq> SetState<B> {
     pub fn classify(&self, payload: &B) -> bool {
         self.find(|b| b == payload).is_some()
     }
-}
-
-/// Updates PLRU tree bits so that they point away from the accessed line.
-fn plru_touch(bits: &mut [bool], assoc: usize, line: usize) {
-    if assoc <= 1 {
-        return;
-    }
-    // The tree has `assoc - 1` internal nodes; leaves are the lines.  Walk
-    // from the root to the leaf and flip each bit to point away from the
-    // taken direction.
-    let levels = assoc.trailing_zeros();
-    let mut node = 0usize;
-    for level in 0..levels {
-        let shift = levels - 1 - level;
-        let go_right = (line >> shift) & 1 == 1;
-        // Bit must point to the *other* subtree (the pseudo-LRU side).
-        bits[node] = !go_right;
-        node = 2 * node + 1 + usize::from(go_right);
-    }
-}
-
-/// Follows PLRU tree bits from the root to the pseudo-LRU victim line.
-fn plru_victim(bits: &[bool], assoc: usize) -> usize {
-    if assoc <= 1 {
-        return 0;
-    }
-    let levels = assoc.trailing_zeros();
-    let mut node = 0usize;
-    let mut line = 0usize;
-    for _ in 0..levels {
-        let go_right = bits[node];
-        line = 2 * line + usize::from(go_right);
-        node = 2 * node + 1 + usize::from(go_right);
-    }
-    line
 }
 
 #[cfg(test)]

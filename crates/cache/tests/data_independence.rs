@@ -10,7 +10,7 @@
 
 use cache_model::bijection::ShiftBijection;
 use cache_model::{
-    CacheConfig, CacheState, MemBlock, MemoryConfig, MultiLevelState, ReplacementPolicy,
+    CacheConfig, FlatCache, MemBlock, MemoryConfig, MultiLevelState, ReplacementPolicy,
 };
 use proptest::prelude::*;
 
@@ -43,18 +43,18 @@ proptest! {
         delta in 0i64..32,
     ) {
         let pi = ShiftBijection::new(delta);
-        let mut c = CacheState::new(&config);
+        let mut c = FlatCache::new(&config);
         for b in &history {
-            c.access_block(&config, *b);
+            c.access(*b, true);
         }
         let b = MemBlock(block);
 
         let mut updated = c.clone();
-        let hit_original = updated.access_block(&config, b);
-        let lhs = pi.apply_to_cache(&config, &updated);
+        let hit_original = updated.access(b, true);
+        let lhs = pi.apply_to_cache(&updated);
 
-        let mut rhs = pi.apply_to_cache(&config, &c);
-        let hit_renamed = rhs.access_block(&config, pi.apply(b));
+        let mut rhs = pi.apply_to_cache(&c);
+        let hit_renamed = rhs.access(pi.apply(b), true);
 
         prop_assert_eq!(lhs, rhs);
         prop_assert_eq!(hit_original, hit_renamed, "classification must be invariant");
@@ -76,16 +76,16 @@ proptest! {
         let pi = ShiftBijection::new(delta);
         let mut h = MultiLevelState::new(&config);
         for b in &history {
-            h.access_block(&config, *b);
+            h.access_block(*b);
         }
         let b = MemBlock(block);
 
         let mut updated = h.clone();
-        let out_original = updated.access_block(&config, b);
-        let lhs = pi.apply_to_levels(&config, &updated);
+        let out_original = updated.access_block(b);
+        let lhs = pi.apply_to_levels(&updated);
 
-        let mut rhs = pi.apply_to_levels(&config, &h);
-        let out_renamed = rhs.access_block(&config, pi.apply(b));
+        let mut rhs = pi.apply_to_levels(&h);
+        let out_renamed = rhs.access_block(pi.apply(b));
 
         prop_assert_eq!(lhs, rhs);
         prop_assert_eq!(out_original, out_renamed);
@@ -103,23 +103,23 @@ proptest! {
         delta in 0i64..16,
     ) {
         let pi = ShiftBijection::new(delta);
-        let mut c0 = CacheState::new(&config);
+        let mut c0 = FlatCache::new(&config);
         for b in &history {
-            c0.access_block(&config, *b);
+            c0.access(*b, true);
         }
-        let mut c1 = pi.apply_to_cache(&config, &c0);
+        let mut c1 = pi.apply_to_cache(&c0);
 
         let mut misses0 = 0u64;
         let mut misses1 = 0u64;
         for b in &pattern {
-            if !c0.access_block(&config, *b) {
+            if !c0.access(*b, true) {
                 misses0 += 1;
             }
-            if !c1.access_block(&config, pi.apply(*b)) {
+            if !c1.access(pi.apply(*b), true) {
                 misses1 += 1;
             }
         }
         prop_assert_eq!(misses0, misses1);
-        prop_assert_eq!(pi.apply_to_cache(&config, &c0), c1);
+        prop_assert_eq!(pi.apply_to_cache(&c0), c1);
     }
 }

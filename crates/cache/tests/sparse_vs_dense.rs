@@ -1,21 +1,40 @@
-//! Observational equivalence of the sparse `CacheState` store and a dense
-//! reference model.
+//! Observational equivalence of the sparse stores and a dense reference.
 //!
-//! `CacheState` stores only the touched sets (plus one shared empty-set
-//! template); this suite drives it and a plain `Vec<SetState>` reference
-//! through random interleavings of `access` / `classify` / `permute_sets` /
-//! `rotate_sets` / `map_payloads` / `clone` across all four replacement
-//! policies and both write-allocation modes, asserting after every step
-//! that the two models are observationally identical: same per-set states
-//! at every index, same hit/miss answers, same occupancy view.
+//! `CacheState` (the symbolic store) keeps only the touched sets plus one
+//! shared empty-set template, and `FlatCache` (the concrete store) hands
+//! out rows per 64-set page on the page's first fill, so untouched pages
+//! share one initial page.  This suite drives them and a plain
+//! `Vec<SetState>` reference through random histories across all four
+//! replacement policies and both write-allocation modes, asserting that
+//! the sparse stores answer for every set — touched or not — exactly like
+//! the eagerly built dense model.
 
-use cache_model::{
-    Access, AccessKind, CacheConfig, CacheState, MemBlock, ReplacementPolicy, SetState,
-};
+use cache_model::{CacheConfig, CacheState, FlatCache, MemBlock, ReplacementPolicy, SetState};
 use proptest::prelude::*;
 
-/// The dense reference: one eagerly allocated `SetState` per cache set,
-/// updated with exactly the per-set logic the sparse store delegates to.
+/// One access to `block` in `set`, with the per-set logic both models
+/// share; a miss fills only when `fill` holds.
+fn access_set(
+    set: &mut SetState<MemBlock>,
+    policy: ReplacementPolicy,
+    block: MemBlock,
+    fill: bool,
+) -> bool {
+    match set.find(|b| *b == block) {
+        Some(line) => {
+            set.on_hit(policy, line);
+            true
+        }
+        None => {
+            if fill {
+                set.on_miss_insert(policy, block);
+            }
+            false
+        }
+    }
+}
+
+/// The dense reference: one eagerly allocated `SetState` per cache set.
 #[derive(Clone)]
 struct DenseCache {
     config: CacheConfig,
@@ -32,30 +51,12 @@ impl DenseCache {
         }
     }
 
-    fn access(&mut self, access: Access) -> bool {
-        let block = self.config.block_of_address(access.address);
+    fn access(&mut self, block: MemBlock, fill: bool) -> bool {
         let set = &mut self.sets[self.config.index(block)];
-        match set.find(|b| *b == block) {
-            Some(line) => {
-                set.on_hit(self.config.policy(), line);
-                true
-            }
-            None => {
-                if access.kind != AccessKind::Write || self.config.write_allocate() {
-                    set.on_miss_insert(self.config.policy(), block);
-                }
-                false
-            }
-        }
+        access_set(set, self.config.policy(), block, fill)
     }
 
-    fn classify(&self, address: u64) -> bool {
-        let block = self.config.block_of_address(address);
-        self.sets[self.config.index(block)].classify(&block)
-    }
-
-    /// Set `i` of the result is set `perm(i)` of `self` (the dense
-    /// definition `permute_sets` must reproduce).
+    /// Set `i` of the result is set `perm(i)` of `self`.
     fn permute(&self, perm: impl Fn(usize) -> usize) -> DenseCache {
         DenseCache {
             config: self.config.clone(),
@@ -73,11 +74,8 @@ impl DenseCache {
     }
 
     fn occupied(&self) -> Vec<usize> {
-        self.sets
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(i, _)| i)
+        (0..self.sets.len())
+            .filter(|&i| !self.sets[i].is_empty())
             .collect()
     }
 }
@@ -85,13 +83,14 @@ impl DenseCache {
 /// One step of a random history over both models.
 #[derive(Clone, Copy, Debug)]
 enum Step {
-    /// `access(addr)` — read or write, honouring write allocation.
-    Access { addr: u64, write: bool },
-    /// `classify_block(addr)` — answers must agree, no state change.
-    Classify { addr: u64 },
-    /// Replace both states by their rotation by `k` sets, exercising
-    /// `permute_sets` and the sparse-native `rotate_sets` alternately.
-    Rotate { k: usize, native: bool },
+    /// An access through `set_mut`; a write under no-write-allocate
+    /// touches the set without filling it.
+    Access { block: u64, write: bool },
+    /// `set(index).classify(block)`: answers must agree, no state change.
+    Classify { block: u64 },
+    /// Rotation by `k` sets, the way warp application relocates a level:
+    /// `take_entries`, then `insert_set` at the rotated index.
+    Rotate { k: usize },
     /// Replace both states by `map_payloads(b + delta)`.
     Map { delta: u64 },
     /// Replace both states by a clone (and check clone equality).
@@ -99,20 +98,15 @@ enum Step {
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
-    (
-        0u64..10,
-        0u64..(64 * 64),
-        prop::bool::ANY,
-        0usize..8,
-        1u64..100,
-    )
-        .prop_map(|(kind, addr, flag, k, delta)| match kind {
-            0..=5 => Step::Access { addr, write: flag },
-            6 => Step::Classify { addr },
-            7 => Step::Rotate { k, native: flag },
+    (0u64..10, 0u64..64, prop::bool::ANY, 0usize..8, 1u64..100).prop_map(
+        |(kind, block, write, k, delta)| match kind {
+            0..=5 => Step::Access { block, write },
+            6 => Step::Classify { block },
+            7 => Step::Rotate { k },
             8 => Step::Map { delta },
             _ => Step::Clone,
-        })
+        },
+    )
 }
 
 fn arb_config() -> impl Strategy<Value = CacheConfig> {
@@ -140,6 +134,7 @@ fn assert_observationally_equal(sparse: &CacheState<MemBlock>, dense: &DenseCach
     for (i, set) in sparse.occupied_entries() {
         assert_eq!(set, &dense.sets[i]);
     }
+    assert_eq!(sparse.occupied_len(), dense.occupied().len());
     // The lazy all-sets iterator agrees with indexed access.
     for (i, set) in sparse.sets() {
         assert_eq!(set, &dense.sets[i]);
@@ -154,30 +149,35 @@ proptest! {
         config in arb_config(),
         steps in proptest::collection::vec(arb_step(), 1..50),
     ) {
-        let mut sparse = CacheState::new(&config);
+        let mut sparse: CacheState<MemBlock> = CacheState::new(&config);
         let mut dense = DenseCache::new(&config);
         let num_sets = config.num_sets();
+        let policy = config.policy();
         for step in steps {
             match step {
-                Step::Access { addr, write } => {
-                    let access = if write { Access::write(addr) } else { Access::read(addr) };
-                    let hit_sparse = sparse.access(&config, access);
-                    let hit_dense = dense.access(access);
+                Step::Access { block, write } => {
+                    let block = MemBlock(block);
+                    let fill = !write || config.write_allocate();
+                    let set = sparse.set_mut(config.index(block));
+                    let hit_sparse = access_set(set, policy, block, fill);
+                    let hit_dense = dense.access(block, fill);
                     prop_assert_eq!(hit_sparse, hit_dense, "hit/miss diverged at {:?}", step);
                 }
-                Step::Classify { addr } => {
-                    let block = config.block_of_address(addr);
-                    prop_assert_eq!(sparse.classify_block(&config, block), dense.classify(addr));
+                Step::Classify { block } => {
+                    let block = MemBlock(block);
+                    let index = config.index(block);
+                    prop_assert_eq!(
+                        sparse.set(index).classify(&block),
+                        dense.sets[index].classify(&block)
+                    );
                 }
-                Step::Rotate { k, native } => {
+                Step::Rotate { k } => {
                     let k = k % num_sets;
                     // Rotation by +k: new set (i + k) mod n holds old set i.
                     dense = dense.permute(|i| (i + num_sets - k) % num_sets);
-                    sparse = if native {
-                        sparse.rotate_sets(k as i64)
-                    } else {
-                        sparse.permute_sets(|i| (i + num_sets - k) % num_sets)
-                    };
+                    for (i, set) in sparse.take_entries() {
+                        sparse.insert_set((i + k) % num_sets, set);
+                    }
                 }
                 Step::Map { delta } => {
                     dense = dense.map_payloads(|b| MemBlock(b.0 + delta));
@@ -195,23 +195,43 @@ proptest! {
     }
 
     /// Construction cost aside, a sparse state that never materialised some
-    /// set must still answer for it exactly like a fresh dense set.
+    /// set (or, for the flat store, some page) must still answer for it
+    /// exactly like a fresh dense set.
     #[test]
     fn untouched_sets_answer_as_initial(
         config in arb_config(),
-        history in proptest::collection::vec(0u64..(64 * 64), 0..30),
+        sets in prop::sample::select(vec![1usize, 8, 64, 96, 256]),
+        history in proptest::collection::vec((0u64..1024, prop::bool::ANY), 0..30),
     ) {
-        let mut sparse = CacheState::new(&config);
+        let config = CacheConfig::with_sets(sets, config.assoc(), 64, config.policy())
+            .with_write_allocate(config.write_allocate());
+        let mut sparse: CacheState<MemBlock> = CacheState::new(&config);
+        let mut flat = FlatCache::new(&config);
         let mut dense = DenseCache::new(&config);
-        for addr in history {
-            let access = Access::read(addr);
-            prop_assert_eq!(sparse.access(&config, access), dense.access(access));
+        for (block, write) in history {
+            let block = MemBlock(block);
+            let fill = !write || config.write_allocate();
+            let hit = dense.access(block, fill);
+            let set = sparse.set_mut(config.index(block));
+            prop_assert_eq!(access_set(set, config.policy(), block, fill), hit);
+            prop_assert_eq!(flat.access(block, fill), hit);
         }
         let initial: SetState<MemBlock> = SetState::new(config.policy(), config.assoc());
         for i in 0..config.num_sets() {
-            prop_assert_eq!(sparse.set(i), &dense.sets[i]);
-            if dense.sets[i].is_empty() {
+            let reference = &dense.sets[i];
+            prop_assert_eq!(sparse.set(i), reference);
+            let view = flat.set(i);
+            prop_assert_eq!(view.lines().collect::<Vec<_>>(), reference.lines());
+            prop_assert_eq!(view.policy_state(), reference.policy_state().view());
+            if reference.is_empty() {
                 prop_assert_eq!(sparse.set(i), &initial, "empty set {} left its initial state", i);
+                prop_assert_eq!(view.lines().collect::<Vec<_>>(), initial.lines());
+                prop_assert_eq!(
+                    view.policy_state(),
+                    initial.policy_state().view(),
+                    "empty flat set {} left its initial state",
+                    i
+                );
             }
         }
     }

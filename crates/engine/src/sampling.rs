@@ -86,7 +86,7 @@
 //! reproduces the classic backend bit-for-bit.
 
 use crate::report::ApproxStats;
-use cache_model::{LevelStats, MemBlock, MemoryConfig, MultiLevelState};
+use cache_model::{FlatCache, LevelStats, MemoryConfig, MultiLevelState};
 use scop::{
     compile, for_each_run_at, walk_at, AccessRun, CompiledLoop, CompiledNode, Scop, WalkScratch,
     WalkVisitor,
@@ -288,7 +288,6 @@ pub(crate) fn run_sampled_with(
     let compiled = compile(scop);
     let scratch = compiled.new_scratch();
     let mut sampler = Sampler {
-        config: memory,
         options: *options,
         // A prior is only usable when it describes the same hierarchy
         // depth and a representable period; anything else is ignored
@@ -327,12 +326,11 @@ pub(crate) fn run_sampled_with(
 }
 
 struct Sampler<'a> {
-    config: &'a MemoryConfig,
     options: SamplingOptions,
     /// Calibration prior from a neighbouring family instance, already
     /// depth-checked; `None` runs the cold path.
     prior: Option<&'a Calibration>,
-    state: MultiLevelState<MemBlock>,
+    state: MultiLevelState,
     /// Extrapolated per-level totals (measured + estimated).
     totals: Vec<LevelStats>,
     /// Accumulated per-level miss-count error bounds.
@@ -368,20 +366,17 @@ impl<'a> Sampler<'a> {
         self.state
             .levels()
             .iter()
-            .filter(|lvl| lvl.epoch().first().copied().unwrap_or(i64::MIN) >= horizon)
+            .filter(|lvl| lvl.epoch().is_some_and(|epoch| epoch >= horizon))
             .count()
     }
 
     /// Simulates a non-loop root exactly, counts trusted.
     fn run_node_exact(&mut self, node: &CompiledNode) {
         let stamp = self.clock;
-        let config = self.config;
         let mut local = vec![LevelStats::default(); self.totals.len()];
         let state = &mut self.state;
         self.simulated += for_each_run_at(node, &[], &mut self.scratch, |run| {
-            state.access_run_stamped(
-                config, run.base, run.stride, run.count, run.kind, stamp, &mut local,
-            );
+            state.access_run_stamped(run.base, run.stride, run.count, run.kind, stamp, &mut local);
         });
         merge(&mut self.totals, &local);
         self.clock += 1;
@@ -401,7 +396,6 @@ impl<'a> Sampler<'a> {
         counted: bool,
     ) -> Vec<LevelStats> {
         let mut local = vec![LevelStats::default(); self.totals.len()];
-        let config = self.config;
         for idx in range {
             let stamp = base + idx as i64;
             let state = &mut self.state;
@@ -409,7 +403,7 @@ impl<'a> Sampler<'a> {
             for child in cl.children() {
                 self.simulated += for_each_run_at(child, outer, &mut self.scratch, |run| {
                     state.access_run_stamped(
-                        config, run.base, run.stride, run.count, run.kind, stamp, &mut local,
+                        run.base, run.stride, run.count, run.kind, stamp, &mut local,
                     );
                 });
             }
@@ -519,21 +513,14 @@ impl<'a> Sampler<'a> {
         // the transitions the fill causes (first evictions, a level
         // saturating) are one-off behaviour a skipped gap would hide from
         // every bracketing measurement, so the walk stays exact while any
-        // level is still growing.  Occupancy is scanned only every
-        // `stride` intervals, keeping the check amortised against the
-        // intervals walked; a kernel that never reaches steady state is
-        // simply simulated exactly — slow but sound.
+        // level is still growing.  Occupancy is each level's filled-way
+        // counter, read in O(depth); it is compared every `stride`
+        // intervals, so growth must outlast a stride to keep the walk
+        // exact.  A kernel that never reaches steady state is simply
+        // simulated exactly — slow but sound.
         let grow_range = |i: usize| (prefix + i * p)..(prefix + (i + 1) * p);
-        let occupancy = |state: &MultiLevelState<MemBlock>| -> Vec<u64> {
-            state
-                .levels()
-                .iter()
-                .map(|lvl| {
-                    lvl.occupied_entries()
-                        .map(|(_, set)| set.lines().iter().flatten().count() as u64)
-                        .sum()
-                })
-                .collect()
+        let occupancy = |state: &MultiLevelState| -> Vec<u64> {
+            state.levels().iter().map(FlatCache::filled_ways).collect()
         };
         let mut stable = 0usize;
         let mut streak = 0u32;
@@ -543,8 +530,7 @@ impl<'a> Sampler<'a> {
         let mut growth_end = 0usize;
         if loop_seeded {
             // Seeded stabilisation: the donor's depth bounds the fill, so
-            // walk interval-by-interval — an occupancy scan is cheap next
-            // to simulating an interval at these working-set sizes — and
+            // walk interval-by-interval, reading occupancy after each, and
             // stop at the first [`STABLE_STREAK`] flat intervals.  The
             // donor's depth is usually a loose stride-granular bound, so
             // the precise walk ends far earlier than `depth + 2`, and the

@@ -164,10 +164,13 @@ fn parse_family_request(id: Value, value: &Value) -> Result<Line, (Value, String
 }
 
 fn write_line<W: Write>(writer: &Mutex<W>, value: &Value) {
-    let text = serde_json::to_string(value).expect("values render");
+    let mut line = serde_json::to_string(value).expect("values render");
+    line.push('\n');
     let mut writer = writer.lock().expect("wire writer not poisoned");
-    // A dead client is not the server's problem; drop the line.
-    let _ = writeln!(writer, "{text}");
+    // One write per envelope: a newline sent as a second segment would sit
+    // behind Nagle's algorithm until the client's delayed ACK.  A dead
+    // client is not the server's problem; drop the line.
+    let _ = writer.write_all(line.as_bytes());
     let _ = writer.flush();
 }
 
@@ -420,6 +423,42 @@ mod tests {
             .lines()
             .map(|line| serde_json::from_str(line).expect("every output line is JSON"))
             .collect()
+    }
+
+    /// A sink that keeps every `write` call's buffer separately.
+    #[derive(Clone)]
+    struct Writes(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().expect("writes").push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_envelope_is_one_write() {
+        let service = Arc::new(SimService::new(ServeConfig {
+            workers: 1,
+            cache_capacity: 8,
+            exact_budget: None,
+            warm_paths: true,
+        }));
+        let input = format!("{}\nnot json\n{}\n", request_line(1), request_line(2));
+        let writes = Writes(Arc::new(Mutex::new(Vec::new())));
+        serve_lines(&service, Cursor::new(input), writes.clone()).expect("serving succeeds");
+        let writes = writes.0.lock().expect("writes");
+        // Two reports, one error envelope and the stats trailer.
+        assert_eq!(writes.len(), 4);
+        for write in writes.iter() {
+            let text = std::str::from_utf8(write).expect("utf-8 output");
+            assert!(text.ends_with('\n'), "{text:?} carries its own newline");
+            assert_eq!(text.matches('\n').count(), 1, "{text:?} is one line");
+            serde_json::from_str::<Value>(text.trim_end()).expect("the line is JSON");
+        }
     }
 
     #[test]

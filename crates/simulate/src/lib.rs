@@ -35,7 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cache_model::{AccessKind, LevelStats, MemBlock, MemoryConfig, MultiLevelState};
+use cache_model::{AccessKind, LevelStats, MemoryConfig, MultiLevelState};
 use scop::{compile, for_each_access, Scop};
 use serde::{Serialize, Value};
 
@@ -105,16 +105,17 @@ pub struct MultiLevelSystem {
     /// Configuration with the write-allocate flag of every level normalized
     /// to the hierarchy-wide write policy.
     config: MemoryConfig,
-    state: MultiLevelState<MemBlock>,
+    state: MultiLevelState,
     stats: Vec<LevelStats>,
     accesses: u64,
 }
 
 impl MultiLevelSystem {
     /// An empty memory system with the given configuration.  Construction
-    /// is independent of the cache sizes (the per-level states are sparse),
-    /// so building one system per request — as `Engine::run_batch` does —
-    /// stays cheap even for 64 MiB outer levels.
+    /// is all but independent of the cache sizes (each level's flat store
+    /// allocates one word per 64 sets up front and the rest page by page
+    /// as sets fill), so building one system per request — as
+    /// `Engine::run_batch` does — stays cheap even for 64 MiB outer levels.
     pub fn new(config: MemoryConfig) -> Self {
         let config = config.normalized();
         let state = MultiLevelState::new(&config);
@@ -136,20 +137,25 @@ impl MultiLevelSystem {
     pub fn level_stats(&self) -> &[LevelStats] {
         &self.stats
     }
+
+    /// The cache contents, L1 first.
+    pub fn state(&self) -> &MultiLevelState {
+        &self.state
+    }
 }
 
 impl MemorySystem for MultiLevelSystem {
     fn access(&mut self, address: u64, kind: AccessKind) {
         self.accesses += 1;
         self.state
-            .access(&self.config, cache_model::Access { address, kind })
+            .access(cache_model::Access { address, kind })
             .record_into(&mut self.stats);
     }
 
     fn access_run(&mut self, base: u64, stride: i64, count: u64, kind: AccessKind) {
         self.accesses += count;
         self.state
-            .access_run(&self.config, base, stride, count, kind, &mut self.stats);
+            .access_run(base, stride, count, kind, &mut self.stats);
     }
 
     fn result(&self) -> SimulationResult {
@@ -342,6 +348,24 @@ mod tests {
         assert_eq!(result.levels[1].accesses, result.levels[0].misses);
         assert_eq!(result.levels[2].accesses, result.levels[1].misses);
         assert_eq!(result.last_level_misses(), result.levels[2].misses);
+    }
+
+    #[test]
+    fn a_64_mib_l3_holds_one_set_per_level_after_one_access() {
+        let config = MemoryConfig::three_level(
+            CacheConfig::new(32 * 1024, 8, 64, ReplacementPolicy::Plru),
+            CacheConfig::new(1024 * 1024, 16, 64, ReplacementPolicy::Qlru),
+            CacheConfig::new(64 * 1024 * 1024, 16, 64, ReplacementPolicy::Lru),
+        );
+        let mut memory = MultiLevelSystem::new(config);
+        memory.access(4096 * 64, AccessKind::Read);
+        let state = memory.state();
+        assert_eq!(state.level(2).num_sets(), 65536);
+        for level in state.levels() {
+            assert_eq!(level.occupied_len(), 1);
+            assert_eq!(level.filled_ways(), 1);
+        }
+        assert_eq!(memory.result().last_level_misses(), 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 #![warn(missing_docs)]
 
 use cache_model::{
-    Access, CacheConfig, CacheState, LevelStats, MemoryConfig, MultiLevelState, ReplacementPolicy,
+    Access, CacheConfig, LevelStats, MemoryConfig, MultiLevelState, ReplacementPolicy,
 };
 use scop::{compile, elaborate, for_each_access, parse_program, ElaborateOptions, Scop};
 
@@ -40,27 +40,22 @@ pub fn generate_trace(scop: &Scop) -> Vec<Access> {
     trace
 }
 
-/// Simulates a trace against a single cache level and returns its
-/// statistics.
+/// Simulates a trace against a single cache level (honouring its own
+/// write-allocate flag) and returns its statistics.
 pub fn simulate_trace(trace: &[Access], config: &CacheConfig) -> LevelStats {
-    let mut state = CacheState::new(config);
-    let mut stats = LevelStats::default();
-    for access in trace {
-        stats.record(state.access(config, *access));
-    }
-    stats
+    simulate_trace_memory(trace, &MemoryConfig::single(config.clone()))[0]
 }
 
 /// Simulates a trace against an N-level memory system, returning the
 /// statistics of every level (L1 first).  This is the trace-replay path
-/// behind the engine's trace backend, whatever the depth.  The replay state is sparse, so the cost is
-/// the trace length plus the touched sets — never the cache capacity.
+/// behind the engine's trace backend, whatever the depth.  The replay runs
+/// on the flat concrete store, which is built in time independent of the
+/// cache capacity, so the cost is the trace length.
 pub fn simulate_trace_memory(trace: &[Access], config: &MemoryConfig) -> Vec<LevelStats> {
-    let config = config.normalized();
-    let mut state = MultiLevelState::new(&config);
+    let mut state = MultiLevelState::new(config);
     let mut stats = vec![LevelStats::default(); config.depth()];
     for access in trace {
-        state.access(&config, *access).record_into(&mut stats);
+        state.access(*access).record_into(&mut stats);
     }
     stats
 }
@@ -129,17 +124,17 @@ impl HardwareReference {
     /// "Measures" an already-elaborated SCoP (which should include scalar
     /// accesses for maximum fidelity).
     pub fn measure_scop(&self, scop: &Scop) -> MeasuredKernel {
-        let mut state = CacheState::new(&self.config);
-        let mut stats = LevelStats::default();
+        let mut state = MultiLevelState::new(&MemoryConfig::single(self.config.clone()));
+        let mut stats = [LevelStats::default()];
         for_each_access(scop, |acc| {
-            stats.record(state.access(
-                &self.config,
-                Access {
+            state
+                .access(Access {
                     address: acc.address,
                     kind: acc.kind,
-                },
-            ));
+                })
+                .record_into(&mut stats);
         });
+        let [stats] = stats;
         let misses = perturb(stats.misses, self.perturbation, scop.footprint_bytes());
         MeasuredKernel {
             accesses: stats.accesses,

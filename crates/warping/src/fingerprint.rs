@@ -97,7 +97,7 @@
 //! sets of an 8 MiB L3.
 
 use crate::symstate::{SymLevel, SymLine};
-use cache_model::{CacheState, MemBlock, PolicyState, SetState};
+use cache_model::{CacheState, FlatCache, FlatSet, PolicyView, SetState};
 use std::collections::{HashMap, HashSet};
 
 /// Number of candidate warped dimensions a digest covers.  Loops nested
@@ -190,33 +190,22 @@ pub fn digest_set(set: &SetState<SymLine>) -> SetDigest {
             }
         }
     }
-    match set.policy_state() {
-        PolicyState::None => {
-            for w in &mut words {
-                *w = mix(*w, TAG_POLICY[0]);
-            }
-        }
-        PolicyState::PlruBits(bits) => {
-            for w in &mut words {
-                *w = mix(*w, TAG_POLICY[1]);
-                for b in bits {
-                    *w = mix(*w, u64::from(*b));
-                }
-            }
-        }
-        PolicyState::Ages(ages) => {
-            for w in &mut words {
-                *w = mix(*w, TAG_POLICY[2]);
-                for a in ages {
-                    *w = mix(*w, u64::from(*a));
-                }
-            }
-        }
-    }
+    let policy = set.policy_state().view();
     for w in &mut words {
-        *w = finalize(*w);
+        *w = finalize(mix_policy(*w, policy));
     }
     SetDigest(words)
+}
+
+/// Mixes a set's replacement-policy metadata, verbatim, into `h`.
+fn mix_policy(h: u64, policy: PolicyView<'_>) -> u64 {
+    match policy {
+        PolicyView::None => mix(h, TAG_POLICY[0]),
+        PolicyView::PlruBits(bits) => mix(mix(h, TAG_POLICY[1]), bits),
+        PolicyView::Ages(ages) => ages
+            .iter()
+            .fold(mix(h, TAG_POLICY[2]), |h, &a| mix(h, u64::from(a))),
+    }
 }
 
 /// Digests one set of a *concrete* cache state (payload = memory blocks
@@ -226,7 +215,7 @@ pub fn digest_set(set: &SetState<SymLine>) -> SetDigest {
 /// the replacement-policy metadata verbatim.  Absolute block numbers are
 /// deliberately dropped, so a streaming kernel that advances through memory
 /// at a constant rate digests identically from one period to the next.
-pub fn digest_concrete_set(set: &SetState<MemBlock>) -> u64 {
+pub fn digest_concrete_set(set: FlatSet<'_>) -> u64 {
     let mut h = FNV_OFFSET;
     let mut prev_block: Option<u64> = None;
     for line in set.lines() {
@@ -241,22 +230,7 @@ pub fn digest_concrete_set(set: &SetState<MemBlock>) -> u64 {
             }
         }
     }
-    match set.policy_state() {
-        PolicyState::None => h = mix(h, TAG_POLICY[0]),
-        PolicyState::PlruBits(bits) => {
-            h = mix(h, TAG_POLICY[1]);
-            for b in bits {
-                h = mix(h, u64::from(*b));
-            }
-        }
-        PolicyState::Ages(ages) => {
-            h = mix(h, TAG_POLICY[2]);
-            for a in ages {
-                h = mix(h, u64::from(*a));
-            }
-        }
-    }
-    finalize(h)
+    finalize(mix_policy(h, set.policy_state()))
 }
 
 /// A shift- and rotation-invariant fingerprint of a whole concrete
@@ -270,7 +244,7 @@ pub fn digest_concrete_set(set: &SetState<MemBlock>) -> u64 {
 /// `t - p`, the cache is plausibly `p`-periodic and `p` outer iterations
 /// make a representative interval.  Collisions merely pick a poorer
 /// interval; counts are still measured, so accuracy is unaffected.
-pub fn concrete_fingerprint(levels: &[CacheState<MemBlock>]) -> u64 {
+pub fn concrete_fingerprint(levels: &[FlatCache]) -> u64 {
     let mut h = FNV_OFFSET;
     for state in levels {
         let mut sum = 0u64;
@@ -678,9 +652,9 @@ mod tests {
         use cache_model::CacheConfig;
         let config = CacheConfig::with_sets(8, 2, 64, ReplacementPolicy::Lru);
         let touch = |blocks: &[u64]| {
-            let mut state = CacheState::new(&config);
+            let mut state = FlatCache::new(&config);
             for &b in blocks {
-                state.access_block(&config, MemBlock(b));
+                state.access(MemBlock(b), true);
             }
             state
         };

@@ -134,9 +134,8 @@ fn encode_policy_state(state: &PolicyState, data: &mut Vec<i64>) {
         PolicyState::None => data.push(0),
         PolicyState::PlruBits(bits) => {
             data.push(1);
-            for b in bits {
-                data.push(i64::from(*b));
-            }
+            // At most 63 tree bits: the word is a non-negative i64.
+            data.push(*bits as i64);
         }
         PolicyState::Ages(ages) => {
             data.push(2);
